@@ -7,7 +7,16 @@ order: graded reverse lex on monomials, extended position-over-term with
 degree-first comparison using the shifts.  Buchberger with module
 S-pairs; syzygies come from recording the representation of every basis
 element in terms of the original generators and collecting the
-relations produced by S-pairs that reduce to zero (Schreyer).
+relations produced by S-pairs that reduce to zero (Schreyer).  One
+reduction loop, `_reduce`, serves the engine, `normal_form` and the
+reduced basis.
+
+A minimal free resolution builds each of its modules with one tracked
+engine (`_minimal_level`): the candidates are fed by increasing degree,
+each is kept only if it is not in the span of those kept before it
+(graded Nakayama), and the same engine, completed at the end, yields
+the syzygies of the kept generators, which are the next module's
+candidates.
 
 Internally module elements are flat dicts {(component, monomial): Fraction};
 the public ModuleElement type wraps one per-component Polynomial view.
@@ -20,10 +29,11 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from .exceptions import ResourceBudgetError, StructuralError
+from .exceptions import (CertificateError, ResourceBudgetError,
+                         StructuralError)
 from .ratpoly import (LaurentPolynomial, Polynomial, RationalSeries,
-                      grevlex_key, mono_deg, mono_div, mono_divides,
-                      mono_lcm, mono_mul, mono_zero)
+                      mono_deg, mono_div, mono_divides, mono_lcm, mono_mul,
+                      mono_zero)
 
 DEFAULT_MAX_PAIRS = 500_000
 
@@ -53,9 +63,6 @@ class FreeModule:
 
     def __repr__(self):
         return f"FreeModule(nvars={self.nvars}, shifts={list(self.shifts)})"
-
-    def zero_element(self) -> "ModuleElement":
-        return ModuleElement(self, {})
 
     def basis_element(self, j: int) -> "ModuleElement":
         return ModuleElement(self, {(j, mono_zero(self.nvars)): Fraction(1)})
@@ -208,46 +215,8 @@ class GroebnerEngine:
         self.syzygies: list[dict] = []          # raw rep vecs over gen indices
 
     # -- reduction -----------------------------------------------------
-    def _find_reducer(self, term):
-        comp, m = term
-        for lm, idx in self._lead_index.get(comp, ()):
-            if mono_divides(lm, m):
-                return idx
-        return None
-
     def _reduce(self, vec, quotients=None):
-        """Full normal form of vec against the current basis.
-
-        quotients, if given, is filled as {row_idx: {mono: coeff}} with
-        vec = remainder + sum quotients[k] * rows[k].vec.
-        """
-        rem = dict(vec)
-        out = {}
-        key = self.key
-        while rem:
-            t = max(rem, key=key)
-            c = rem[t]
-            idx = self._find_reducer(t)
-            if idx is None:
-                del rem[t]
-                out[t] = c
-                continue
-            row = self.rows[idx]
-            shift = mono_div(t[1], row.lead[1])
-            del rem[t]
-            for (comp2, m2), c2 in row.vec.items():
-                if (comp2, m2) == row.lead:
-                    continue
-                tt = (comp2, mono_mul(m2, shift))
-                s = rem.get(tt, 0) - c * c2
-                if s:
-                    rem[tt] = s
-                else:
-                    rem.pop(tt, None)
-            if quotients is not None:
-                q = quotients.setdefault(idx, {})
-                q[shift] = q.get(shift, 0) + c
-        return out
+        return _reduce(vec, self.rows, self._lead_index, self.key, quotients)
 
     def _rep_of_quotients(self, quotients):
         rep = {}
@@ -276,6 +245,19 @@ class GroebnerEngine:
                 heapq.heappush(self._pairs, (deg, j, idx))
         return idx
 
+    def _insert(self, vec, rep):
+        """Reduce vec, whose representation is rep (None untracked); keep
+        the remainder as a new row, or record rep as a syzygy when it is 0."""
+        quotients = {} if self.track else None
+        rem = self._reduce(vec, quotients)
+        if self.track:
+            _iadd_scaled(rep, self._rep_of_quotients(quotients), Fraction(-1),
+                         mono_zero(self.module.nvars))
+        if rem:
+            self._append_row(rem, rep)
+        elif rep:
+            self.syzygies.append(rep)
+
     def add_generator(self, vec, degree=None):
         """Feed one original generator (flat dict); returns its index."""
         gi = len(self.gen_degrees)
@@ -285,27 +267,19 @@ class GroebnerEngine:
                 degree = max(mono_deg(m) + self.module.shifts[c] for c, m in vec)
         self.gen_degrees.append(degree)
         rep = {(gi, mono_zero(self.module.nvars)): Fraction(1)} if self.track else None
-        quotients = {} if self.track else None
-        rem = self._reduce(vec, quotients)
-        if self.track:
-            rep_used = self._rep_of_quotients(quotients)
-            _iadd_scaled(rep, rep_used, Fraction(-1), mono_zero(self.module.nvars))
-        if rem:
-            self._append_row(rem, rep)
-        elif self.track and rep:
-            self.syzygies.append(rep)
+        self._insert(vec, rep)
         return gi
 
-    def complete(self):
-        """Process all pending S-pairs (Buchberger)."""
-        key = self.key
-        zero_mono = mono_zero(self.module.nvars)
-        while self._pairs:
+    def complete(self, max_degree=None):
+        """Process pending S-pairs (Buchberger), all of them or only those
+        of degree <= max_degree; the heap yields pairs by degree."""
+        pairs = self._pairs
+        while pairs and (max_degree is None or pairs[0][0] <= max_degree):
             self._pairs_done += 1
             if self._pairs_done > self.max_pairs:
                 raise ResourceBudgetError(
                     f"S-pair budget exceeded ({self.max_pairs})")
-            _, i, j = heapq.heappop(self._pairs)
+            _, i, j = heapq.heappop(pairs)
             ri, rj = self.rows[i], self.rows[j]
             lcm = mono_lcm(ri.lead[1], rj.lead[1])
             si = mono_div(lcm, ri.lead[1])
@@ -313,33 +287,12 @@ class GroebnerEngine:
             vec = {}
             _iadd_scaled(vec, ri.vec, Fraction(1), si)
             _iadd_scaled(vec, rj.vec, Fraction(-1), sj)
-            if not vec:
-                if self.track:
-                    rep = {}
-                    _iadd_scaled(rep, ri.rep, Fraction(1), si)
-                    _iadd_scaled(rep, rj.rep, Fraction(-1), sj)
-                    if rep:
-                        self.syzygies.append(rep)
-                continue
-            quotients = {} if self.track else None
-            rem = self._reduce(vec, quotients)
-            if rem:
-                rep = None
-                if self.track:
-                    rep = {}
-                    _iadd_scaled(rep, ri.rep, Fraction(1), si)
-                    _iadd_scaled(rep, rj.rep, Fraction(-1), sj)
-                    used = self._rep_of_quotients(quotients)
-                    _iadd_scaled(rep, used, Fraction(-1), zero_mono)
-                self._append_row(rem, rep)
-            elif self.track:
+            rep = None
+            if self.track:
                 rep = {}
                 _iadd_scaled(rep, ri.rep, Fraction(1), si)
                 _iadd_scaled(rep, rj.rep, Fraction(-1), sj)
-                used = self._rep_of_quotients(quotients)
-                _iadd_scaled(rep, used, Fraction(-1), zero_mono)
-                if rep:
-                    self.syzygies.append(rep)
+            self._insert(vec, rep)
 
     # -- extraction ----------------------------------------------------
     def normal_form_vec(self, vec):
@@ -362,12 +315,7 @@ class GroebnerEngine:
         out = []
         for r in kept_rows:
             others = [s for s in kept_rows if s is not r]
-            index = {}
-            rows = []
-            for s in others:
-                index.setdefault(s.lead[0], []).append((s.lead[1], len(rows)))
-                rows.append(s)
-            red = _normal_form_vec(r.vec, rows, index, key)
+            red = _reduce(r.vec, others, _index_by_lead(others), key)
             if red:
                 lead = max(red, key=key)
                 red = _scaled(red, 1 / red[lead])
@@ -376,33 +324,65 @@ class GroebnerEngine:
         return out
 
 
-def _normal_form_vec(vec, rows, lead_index, key):
+def _index_by_lead(rows):
+    """{comp: [(lead mono, row index)]} for a list of monic rows."""
+    index = {}
+    for idx, r in enumerate(rows):
+        index.setdefault(r.lead[0], []).append((r.lead[1], idx))
+    return index
+
+
+def _reduce(vec, rows, lead_index, key, quotients=None):
+    """Full normal form of vec against monic rows indexed by lead_index.
+
+    quotients, if given, is filled as {row_idx: {mono: coeff}} with
+    vec = remainder + sum quotients[k] * rows[k].vec.
+    """
     rem = dict(vec)
     out = {}
     while rem:
         t = max(rem, key=key)
-        c = rem[t]
+        c = rem.pop(t)
+        comp, m = t
         idx = None
-        for lm, i in lead_index.get(t[0], ()):
-            if mono_divides(lm, t[1]):
+        for lm, i in lead_index.get(comp, ()):
+            if mono_divides(lm, m):
                 idx = i
                 break
         if idx is None:
-            del rem[t]
             out[t] = c
             continue
         row = rows[idx]
-        shift = mono_div(t[1], row.lead[1])
-        del rem[t]
-        for (comp2, m2), c2 in row.vec.items():
-            if (comp2, m2) == row.lead:
+        shift = mono_div(m, row.lead[1])
+        for t2, c2 in row.vec.items():
+            if t2 == row.lead:
                 continue
-            tt = (comp2, mono_mul(m2, shift))
+            tt = (t2[0], mono_mul(t2[1], shift))
             s = rem.get(tt, 0) - c * c2
             if s:
                 rem[tt] = s
             else:
                 rem.pop(tt, None)
+        if quotients is not None:
+            q = quotients.setdefault(idx, {})
+            q[shift] = q.get(shift, 0) + c
+    return out
+
+
+def _monic_unique(vecs, module: FreeModule):
+    """The nonzero vecs as monic ModuleElements of module, first copy of each."""
+    key = ModuleOrder(module).key
+    out = []
+    seen = set()
+    for vec in vecs:
+        if not vec:
+            continue
+        lead = max(vec, key=key)
+        el = ModuleElement(module, _scaled(vec, 1 / vec[lead]))
+        k = el.canonical_key()
+        if k not in seen:
+            seen.add(k)
+            out.append(el)
     return out
 
 
@@ -432,13 +412,10 @@ def normal_form(v: ModuleElement, gb) -> ModuleElement:
     module = v.module
     key = ModuleOrder(module).key
     rows = []
-    index = {}
     for g in gb:
         lead = max(g.vec, key=key)
-        vec = _scaled(g.vec, 1 / g.vec[lead])
-        index.setdefault(lead[0], []).append((lead[1], len(rows)))
-        rows.append(_Row(vec, lead, None))
-    return ModuleElement(module, _normal_form_vec(v.vec, rows, index, key))
+        rows.append(_Row(_scaled(g.vec, 1 / g.vec[lead]), lead, None))
+    return ModuleElement(module, _reduce(v.vec, rows, _index_by_lead(rows), key))
 
 
 def syzygy_module(gens, module: FreeModule | None = None,
@@ -458,20 +435,7 @@ def syzygy_module(gens, module: FreeModule | None = None,
         eng.add_generator(g.vec, 0 if g.is_zero() else g.degree())
     eng.complete()
     F = FreeModule(module.nvars, eng.gen_degrees)
-    out = []
-    seen = set()
-    for rep in eng.syzygies:
-        el = ModuleElement(F, rep)
-        if el.is_zero():
-            continue
-        k = el.canonical_key()
-        lead = max(el.vec, key=ModuleOrder(F).key)
-        el = ModuleElement(F, _scaled(el.vec, 1 / el.vec[lead]))
-        k = el.canonical_key()
-        if k not in seen:
-            seen.add(k)
-            out.append(el)
-    return out, F
+    return _monic_unique(eng.syzygies, F), F
 
 
 def kernel_of_map(columns, source: FreeModule, target: FreeModule,
@@ -496,21 +460,39 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
         deg = (q.degree() or 0) + target.shifts[r]
         eng.add_generator(vec, deg)
     eng.complete()
-    okey = ModuleOrder(source).key
-    out = []
-    seen = set()
-    for rep in eng.syzygies:
-        vec = {(i, m): c for (i, m), c in rep.items() if i < n}
-        if not vec:
-            continue
-        lead = max(vec, key=okey)
-        vec = _scaled(vec, 1 / vec[lead])
-        el = ModuleElement(source, vec)
-        k = el.canonical_key()
-        if k not in seen:
-            seen.add(k)
-            out.append(el)
-    return out
+    return _monic_unique(({(i, m): c for (i, m), c in rep.items() if i < n}
+                          for rep in eng.syzygies), source)
+
+
+def _minimal_level(gens, module: FreeModule, max_pairs: int):
+    """One module of a minimal resolution, built by one tracked engine.
+
+    The nonzero candidates are taken by increasing (degree, canonical
+    key), and each is kept when it is not in the submodule generated by
+    those kept before it (graded Nakayama).  Before a candidate of degree
+    d is tested, the engine is completed only through degree d: S-pairs
+    of higher degree cannot change the basis in degrees <= d, so this
+    truncated basis decides membership of the candidate exactly, and the
+    kept list equals that of a full completion after every kept element.
+    The last, full completion gives the syzygies of the kept generators.
+
+    Returns (kept, F, syzygies): F is the free module on the kept
+    generators (shifts = their degrees), and the syzygies are monic,
+    distinct elements of F.
+    """
+    ordered = sorted((g for g in gens if not g.is_zero()),
+                     key=lambda g: (g.degree(), g.canonical_key()))
+    eng = GroebnerEngine(module, track=True, max_pairs=max_pairs)
+    kept = []
+    for g in ordered:
+        d = g.degree()
+        eng.complete(max_degree=d)
+        if eng.normal_form_vec(g.vec):
+            kept.append(g)
+            eng.add_generator(g.vec, d)
+    eng.complete()
+    F = FreeModule(module.nvars, eng.gen_degrees)
+    return kept, F, _monic_unique(eng.syzygies, F)
 
 
 def minimalize_generators(gens, module: FreeModule | None = None,
@@ -525,15 +507,7 @@ def minimalize_generators(gens, module: FreeModule | None = None,
         if not gens:
             return []
         module = gens[0].module
-    ordered = sorted(gens, key=lambda g: (g.degree(), g.canonical_key()))
-    eng = GroebnerEngine(module, track=False, max_pairs=max_pairs)
-    kept = []
-    for g in ordered:
-        if eng.normal_form_vec(g.vec):
-            kept.append(g)
-            eng.add_generator(g.vec, g.degree())
-            eng.complete()
-    return kept
+    return _minimal_level(gens, module, max_pairs)[0]
 
 
 def lift(v: ModuleElement, gens, max_pairs: int = DEFAULT_MAX_PAIRS):
@@ -630,7 +604,6 @@ class Resolution:
 
     def audit(self):
         """Check d∘d = 0 and minimality (no nonzero constant entries)."""
-        from .exceptions import CertificateError
         for cols in self.diffs:
             for col in cols:
                 for p in col.components():
@@ -655,38 +628,30 @@ def minimal_free_resolution(gens, module: FreeModule | None = None,
                             max_pairs: int = DEFAULT_MAX_PAIRS) -> Resolution:
     """Minimal graded free resolution of the submodule generated by gens.
 
-    Minimality is achieved by taking minimal generators of every syzygy
-    module; the no-constant-entry invariant is auditable afterwards.
+    Each free module comes from one `_minimal_level` pass over the
+    previous level's syzygies: minimal generators (graded Nakayama) and
+    their syzygies from the same tracked engine.  Taking minimal
+    generators at every level makes the resolution minimal; the
+    no-constant-entry invariant is auditable afterwards.
     """
     gens = [g for g in gens if not g.is_zero()]
     if module is None:
         if not gens:
             raise StructuralError("empty generator list without explicit module")
         module = gens[0].module
-    gens0 = minimalize_generators(gens, module, max_pairs=max_pairs)
-    if not gens0:
-        return Resolution(module.nvars, [FreeModule(module.nvars, [])], [], [])
-    F0 = FreeModule(module.nvars, [g.degree() for g in gens0])
-    modules = [F0]
+    gens0, F, syz = _minimal_level(gens, module, max_pairs)
+    modules = [F]
     diffs = []
-    current = gens0
-    current_ambient = module
-    while True:
-        syz, F_prev = syzygy_module(current, current_ambient, max_pairs=max_pairs)
-        # F_prev has one generator per element of `current`; its shifts
-        # agree with modules[-1] by construction
-        syz = minimalize_generators(syz, F_prev, max_pairs=max_pairs)
-        if not syz:
-            break
-        F_next = FreeModule(module.nvars, [s.degree() for s in syz])
-        target = modules[-1]
-        cols = [ModuleElement(target, s.vec) for s in syz]
+    while syz:
+        # Hilbert's syzygy theorem: a submodule of a free module over
+        # nvars variables has projective dimension at most nvars - 1
+        if len(modules) >= module.nvars:
+            raise CertificateError(
+                f"resolution longer than the Hilbert syzygy bound "
+                f"{module.nvars - 1}")
+        cols, F, syz = _minimal_level(syz, F, max_pairs)
         diffs.append(cols)
-        modules.append(F_next)
-        current = syz
-        current_ambient = F_prev
-        if len(modules) > module.nvars + 2:
-            raise ResourceBudgetError("resolution longer than Hilbert bound")
+        modules.append(F)
     return Resolution(module.nvars, modules, diffs, gens0)
 
 

@@ -86,24 +86,3 @@ def integerize(vector):
         ints = [x // g for x in ints]
     return tuple(ints)
 
-
-def det(rows) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    n = len(mat)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            sign = -sign
-        pv = mat[c][c]
-        result *= pv
-        for i in range(c + 1, n):
-            if mat[i][c]:
-                f = mat[i][c] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return result * sign

@@ -29,9 +29,7 @@ from .arrangement import (Arrangement, Multiplicity, defining_polynomial,
 from .exceptions import CertificateError, StructuralError
 from .groebner import (DEFAULT_MAX_PAIRS, BettiTable, FreeModule,
                        ModuleElement, Resolution, free_module_hilbert,
-                       hilbert_series, kernel_of_map, minimal_free_resolution,
-                       minimalize_generators)
-from .linalg import det as linalg_det
+                       hilbert_series, kernel_of_map, minimal_free_resolution)
 from .ratpoly import Polynomial, RationalSeries
 
 
@@ -146,9 +144,9 @@ def derivation_module(arr: Arrangement, mult: Multiplicity, p: int,
         relations.append((r, q))
 
     raw = kernel_of_map(columns, source, target, relations, max_pairs=max_pairs)
-    gens = minimalize_generators(raw, source, max_pairs=max_pairs)
-    res = minimal_free_resolution(gens, source, max_pairs=max_pairs)
+    res = minimal_free_resolution(raw, source, max_pairs=max_pairs)
     res.audit()
+    gens = res.generators
     betti = res.betti()
     hilb = hilbert_series(res)
     reg = res.reg

@@ -139,10 +139,6 @@ class Polynomial:
     def coefficient(self, mono: Mono) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
 
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        return Polynomial(self.nvars,
-                          {m: c for m, c in self.terms.items() if mono_deg(m) == d})
-
     # -- arithmetic
     def _check(self, other: "Polynomial"):
         if self.nvars != other.nvars:
@@ -367,13 +363,6 @@ class LaurentPolynomial:
 
     def coefficient(self, e: int) -> Fraction:
         return self.terms.get(e, Fraction(0))
-
-    def coefficients_list(self):
-        """Dense coefficient list from valuation to degree; [] for zero."""
-        if not self.terms:
-            return []
-        lo, hi = min(self.terms), max(self.terms)
-        return [self.terms.get(e, Fraction(0)) for e in range(lo, hi + 1)]
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         terms = dict(self.terms)

@@ -39,9 +39,6 @@ class CheckReport:
                 "verdict": self.verdict, "claimed": self.claimed,
                 "computed": self.computed, "witness": self.witness}
 
-    def line(self) -> str:
-        return f"[{self.verdict.upper():>14}] {self.check}: {self.subject}"
-
 
 def _poly_str(p: LaurentPolynomial, var: str = "x") -> str:
     return p.render(var)

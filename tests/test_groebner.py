@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlog import linalg
+from stlog import groebner, linalg
+from stlog.exceptions import CertificateError
 from stlog.groebner import (FreeModule, groebner_basis, hilbert_series,
                             kernel_of_map, lift, minimal_free_resolution,
                             minimalize_generators, normal_form, poly_dimension,
@@ -188,6 +189,67 @@ def test_minimalize_generators_drops_redundant():
     minimal = minimalize_generators(gens, module)
     degs = sorted(g.degree() for g in minimal)
     assert degs == [1, 1]
+
+
+def greedy_minimal_generators(gens, module):
+    """Graded Nakayama by untruncated Buchberger: keep each candidate, by
+    (degree, canonical key), whose normal form modulo a Groebner basis
+    of the generators kept so far is nonzero."""
+    kept = []
+    for g in sorted((g for g in gens if not g.is_zero()),
+                    key=lambda g: (g.degree(), g.canonical_key())):
+        if not kept or not normal_form(g, groebner_basis(kept, module)).is_zero():
+            kept.append(g)
+    return kept
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_truncated_minimalization_matches_greedy_oracle(data):
+    nvars = 3
+    module = FreeModule(nvars, [0])
+    polys = [data.draw(homogeneous_polys(nvars, degree=data.draw(st.integers(1, 3))))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
+        return
+    # redundant candidates: combinations a*f + b*g of earlier generators
+    for _ in range(data.draw(st.integers(1, 3))):
+        f = data.draw(st.sampled_from(polys))
+        g = data.draw(st.sampled_from(polys))
+        d = max(f.degree(), g.degree()) + data.draw(st.integers(0, 1))
+        a = data.draw(homogeneous_polys(nvars, degree=d - f.degree()))
+        b = data.draw(homogeneous_polys(nvars, degree=d - g.degree()))
+        polys.append(a * f + b * g)
+    gens = [ring_element(module, p) for p in data.draw(st.permutations(polys))]
+    expected = greedy_minimal_generators(gens, module)
+    assert minimalize_generators(gens, module) == expected
+    res = minimal_free_resolution(gens, module)
+    assert res.generators == expected
+    res.audit()
+    kept, F, syz = groebner._minimal_level(gens, module, groebner.DEFAULT_MAX_PAIRS)
+    assert kept == expected
+    assert F.shifts == tuple(g.degree() for g in kept)
+    for s in syz:
+        total = Polynomial.zero(nvars)
+        for i, g in enumerate(kept):
+            total = total + s.component(i) * g.component(0)
+        assert total.is_zero()
+
+
+def test_resolution_past_hilbert_bound_is_a_certificate_error(monkeypatch):
+    nvars = 2
+    module = FreeModule(nvars, [0])
+    x, y = variables(2)
+
+    def endless(gens, ambient, max_pairs):
+        # every level claims one generator with one nonzero syzygy
+        F = FreeModule(nvars, [gens[0].degree()])
+        return gens[:1], F, [F.element([x])]
+
+    monkeypatch.setattr(groebner, "_minimal_level", endless)
+    with pytest.raises(CertificateError, match="Hilbert syzygy bound"):
+        minimal_free_resolution([ring_element(module, x)], module)
 
 
 def test_lift_expresses_member_and_rejects_nonmember():
