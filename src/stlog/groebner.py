@@ -8,8 +8,8 @@ degree-first comparison using the shifts.  Buchberger with module
 S-pairs; syzygies come from recording the representation of every basis
 element in terms of the original generators and collecting the
 relations produced by S-pairs that reduce to zero (Schreyer).  One
-reduction loop, `_reduce`, serves the engine, `normal_form` and the
-reduced basis.
+reduction loop, `_reduce`, serves the engine, `normal_form`, `lift`
+and the reduced basis.
 
 A minimal free resolution builds each of its modules with one tracked
 engine (`_minimal_level`): the candidates are fed by increasing degree,
@@ -18,8 +18,20 @@ each is kept only if it is not in the span of those kept before it
 the syzygies of the kept generators, which are the next module's
 candidates.
 
-Internally module elements are flat dicts {(component, monomial): Fraction};
-the public ModuleElement type wraps one per-component Polynomial view.
+Fractions appear only at the boundary: the public ModuleElement holds a
+flat dict {(component, monomial): Fraction}, with one per-component
+Polynomial view.  Inside the engine a term is stored as its own order
+key (see `_encode`) and a basis row is a primitive integer vector whose
+representation vector shares its scale, with positive lead coefficient.
+Reduction is fraction-free (Geddes-Czapor-Labahn, Algorithms for
+Computer Algebra, ch. 10): to cancel a term, the remainder is multiplied
+by a nonzero integer instead of dividing the row by its lead coefficient.
+Every remainder, row and S-pair is therefore a nonzero rational multiple
+of the one the same run would hold over Q with monic rows.  Scaling
+changes no lead term and no zero pattern, so the reducer chosen at each
+step, the S-pair sequence and the monic outputs are exactly those of
+Fraction arithmetic, with one integer gcd per reduction step in place
+of one per coefficient operation.
 """
 
 from __future__ import annotations
@@ -27,13 +39,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+from operator import add, le, sub
 
 from .exceptions import (CertificateError, ResourceBudgetError,
                          StructuralError)
 from .ratpoly import (LaurentPolynomial, Polynomial, RationalSeries,
-                      mono_deg, mono_div, mono_divides, mono_lcm, mono_mul,
-                      mono_zero)
+                      mono_deg, mono_divides, mono_mul, mono_zero)
 
 DEFAULT_MAX_PAIRS = 500_000
 
@@ -176,83 +188,165 @@ def _iadd_scaled(dst, src, c, mono):
             dst.pop(t, None)
 
 
-def _scaled(vec, c):
-    return {t: c * v for t, v in vec.items()}
+# ---------------------------------------------------------------------------
+# the engine's integer vectors
+#
+# A term (comp, mono) of a module with shifts is stored as its own order
+# key (-(deg mono + shifts[comp]), comp, mono[::-1]): the smallest key is
+# the largest term under ModuleOrder, so min() picks the lead.  Multiplying
+# by x^s, kept reversed as s with degree ds, maps (nd, comp, rm) to
+# (nd - ds, comp, rm + s).  Representation vectors use the same keys over
+# the free module on the generators (shifts = generator degrees).
+
+def _encode(vec, shifts):
+    """(k, ivec): ivec = k * vec as a primitive integer vector in internal
+    keys, for a flat dict vec {(comp, mono): rational}."""
+    den = lcm(*(c.denominator for c in vec.values()))
+    ivec = {(-(sum(m) + shifts[comp]), comp, m[::-1]):
+            c.numerator * (den // c.denominator) for (comp, m), c in vec.items()}
+    g = gcd(*ivec.values()) or 1
+    if g != 1:
+        for t in ivec:
+            ivec[t] //= g
+    return Fraction(den, g), ivec
+
+
+def _decode(ivec, scale):
+    """The flat dict {(comp, mono): Fraction} of ivec / scale."""
+    return {(comp, rm[::-1]): Fraction(c, scale) for (_, comp, rm), c in ivec.items()}
+
+
+def _isub_scaled(dst, items, q, ds, s):
+    """dst -= q * x^s * (the terms in items), in place; s is reversed and
+    of degree ds."""
+    for (nd, comp, rm), c in items:
+        t = (nd - ds, comp, tuple(map(add, rm, s)))
+        v = dst.get(t, 0) - q * c
+        if v:
+            dst[t] = v
+        else:
+            del dst[t]
+
+
+class _Row:
+    __slots__ = ("vec", "lead", "lc", "rep")
+
+    def __init__(self, vec, rep=None):
+        """A basis row from an integer vector and its representation (or
+        None): both divided by their joint content, with positive lead
+        coefficient and the lead term first in vec."""
+        lead = min(vec)
+        g = gcd(*vec.values(), *(rep.values() if rep else ()))
+        if vec[lead] < 0:
+            g = -g
+        self.lead = lead    # (-degree, comp, reversed mono)
+        self.lc = vec[lead] // g
+        self.vec = {lead: self.lc}
+        self.vec.update((t, c // g) for t, c in vec.items())
+        self.rep = rep if g == 1 or rep is None else \
+            {t: c // g for t, c in rep.items()}
+
+
+def _index_by_lead(rows):
+    """{comp: [(reversed lead mono, row index)]} for a list of rows."""
+    index = {}
+    for idx, r in enumerate(rows):
+        index.setdefault(r.lead[1], []).append((r.lead[2], idx))
+    return index
+
+
+def _reduce(rem, rows, lead_index, rep=None, first=False):
+    """Fraction-free normal form of the integer vector rem against rows.
+
+    rem is consumed.  To remove a term with coefficient c by a row with
+    lead coefficient a, everything is multiplied by a/g, g = gcd(a, c),
+    and c/g times the shifted row is subtracted.  Returns (out, scale)
+    with scale * rem = out + (an integer combination of rows).
+
+    rep, if given, is updated in place alongside: multiplied by the same
+    factors, minus the same multiples of the rows' representations.  So
+    if rep starts as the representation of rem, it ends as that of out;
+    if it starts empty, out = scale * rem + (the combination rep
+    describes).  With first=True the reduction stops at the first
+    irreducible term, and out holds that term alone.
+    """
+    out = {}
+    scale = 1
+    while rem:
+        t = min(rem)
+        c = rem.pop(t)
+        nd, comp, rm = t
+        for lrm, i in lead_index.get(comp, ()):
+            if all(map(le, lrm, rm)):
+                break
+        else:
+            out[t] = c
+            if first:
+                break
+            continue
+        row = rows[i]
+        a = row.lc
+        g = gcd(a, c)
+        if g != a:
+            f = a // g
+            scale *= f
+            for d in (rem, out) if rep is None else (rem, out, rep):
+                for k in d:
+                    d[k] *= f
+        q = c // g
+        ds = row.lead[0] - nd
+        s = tuple(map(sub, rm, row.lead[2]))
+        _isub_scaled(rem, itertools.islice(row.vec.items(), 1, None), q, ds, s)
+        if rep is not None:
+            _isub_scaled(rep, row.rep.items(), q, ds, s)
+    return out, scale
 
 
 # ---------------------------------------------------------------------------
 # the Buchberger engine
 
-class _Row:
-    __slots__ = ("vec", "lead", "rep")
-
-    def __init__(self, vec, lead, rep):
-        self.vec = vec      # monic: coefficient of lead is 1
-        self.lead = lead    # (comp, mono)
-        self.rep = rep      # combination of original generators, or None
-
-
 class GroebnerEngine:
     """Incremental Buchberger over a graded free module.
 
-    With track=True every basis row carries its representation in terms
-    of the original generators and S-pairs that reduce to zero are
-    collected as syzygies of the generators.
+    Generators enter as flat dicts over Q; generator i is stored as the
+    primitive integer vector gen_scales[i] * g_i.  With track=True every
+    basis row carries its representation in terms of the stored
+    generators, and S-pairs that reduce to zero are collected as
+    syzygies of them.
     """
 
     def __init__(self, module: FreeModule, track: bool = False,
                  max_pairs: int = DEFAULT_MAX_PAIRS):
         self.module = module
-        self.order = ModuleOrder(module)
-        self.key = self.order.key
         self.track = track
         self.max_pairs = max_pairs
         self.rows: list[_Row] = []
-        self._lead_index: dict[int, list] = {}  # comp -> [(mono, row_idx)]
+        self._lead_index: dict[int, list] = {}  # comp -> [(lead rm, row_idx)]
         self._pairs: list = []                  # heap of (deg, i, j)
         self._pairs_done = 0
         self.gen_degrees: list[int] = []
-        self.syzygies: list[dict] = []          # raw rep vecs over gen indices
-
-    # -- reduction -----------------------------------------------------
-    def _reduce(self, vec, quotients=None):
-        return _reduce(vec, self.rows, self._lead_index, self.key, quotients)
-
-    def _rep_of_quotients(self, quotients):
-        rep = {}
-        for idx, q in quotients.items():
-            row_rep = self.rows[idx].rep
-            for mono, c in q.items():
-                _iadd_scaled(rep, row_rep, c, mono)
-        return rep
+        self.gen_scales: list[Fraction] = []
+        self.syzygies: list[dict] = []          # integer rep vecs
 
     # -- basis growth --------------------------------------------------
     def _append_row(self, vec, rep):
-        lead = max(vec, key=self.key)
-        lc = vec[lead]
-        if lc != 1:
-            vec = _scaled(vec, 1 / lc)
-            if rep is not None:
-                rep = _scaled(rep, 1 / lc)
+        row = _Row(vec, rep)
         idx = len(self.rows)
-        self.rows.append(_Row(vec, lead, rep))
-        self._lead_index.setdefault(lead[0], []).append((lead[1], idx))
-        shifts = self.module.shifts
+        self.rows.append(row)
+        _, comp, lrm = row.lead
+        self._lead_index.setdefault(comp, []).append((lrm, idx))
+        shift = self.module.shifts[comp]
         for j, other in enumerate(self.rows[:-1]):
-            if other.lead[0] == lead[0]:
-                lcm = mono_lcm(other.lead[1], lead[1])
-                deg = mono_deg(lcm) + shifts[lead[0]]
+            if other.lead[1] == comp:
+                deg = sum(map(max, other.lead[2], lrm)) + shift
                 heapq.heappush(self._pairs, (deg, j, idx))
         return idx
 
     def _insert(self, vec, rep):
-        """Reduce vec, whose representation is rep (None untracked); keep
-        the remainder as a new row, or record rep as a syzygy when it is 0."""
-        quotients = {} if self.track else None
-        rem = self._reduce(vec, quotients)
-        if self.track:
-            _iadd_scaled(rep, self._rep_of_quotients(quotients), Fraction(-1),
-                         mono_zero(self.module.nvars))
+        """Reduce the integer vec, whose representation is rep (None
+        untracked); keep the remainder as a new row, or record rep as a
+        syzygy when it is 0."""
+        rem, _ = _reduce(vec, self.rows, self._lead_index, rep)
         if rem:
             self._append_row(rem, rep)
         elif rep:
@@ -266,8 +360,10 @@ class GroebnerEngine:
             if vec:
                 degree = max(mono_deg(m) + self.module.shifts[c] for c, m in vec)
         self.gen_degrees.append(degree)
-        rep = {(gi, mono_zero(self.module.nvars)): Fraction(1)} if self.track else None
-        self._insert(vec, rep)
+        k, ivec = _encode(vec, self.module.shifts)
+        self.gen_scales.append(k)
+        rep = {(-degree, gi, mono_zero(self.module.nvars)): 1} if self.track else None
+        self._insert(ivec, rep)
         return gi
 
     def complete(self, max_degree=None):
@@ -281,104 +377,72 @@ class GroebnerEngine:
                     f"S-pair budget exceeded ({self.max_pairs})")
             _, i, j = heapq.heappop(pairs)
             ri, rj = self.rows[i], self.rows[j]
-            lcm = mono_lcm(ri.lead[1], rj.lead[1])
-            si = mono_div(lcm, ri.lead[1])
-            sj = mono_div(lcm, rj.lead[1])
+            lcm_rm = tuple(map(max, ri.lead[2], rj.lead[2]))
+            si = tuple(map(sub, lcm_rm, ri.lead[2]))
+            sj = tuple(map(sub, lcm_rm, rj.lead[2]))
+            dsi, dsj = sum(si), sum(sj)
+            # cofactors (a_j/g, -a_i/g) cancel the lead terms
+            g = gcd(ri.lc, rj.lc)
+            fi, fj = rj.lc // g, ri.lc // g
             vec = {}
-            _iadd_scaled(vec, ri.vec, Fraction(1), si)
-            _iadd_scaled(vec, rj.vec, Fraction(-1), sj)
+            _isub_scaled(vec, ri.vec.items(), -fi, dsi, si)
+            _isub_scaled(vec, rj.vec.items(), fj, dsj, sj)
             rep = None
             if self.track:
                 rep = {}
-                _iadd_scaled(rep, ri.rep, Fraction(1), si)
-                _iadd_scaled(rep, rj.rep, Fraction(-1), sj)
+                _isub_scaled(rep, ri.rep.items(), -fi, dsi, si)
+                _isub_scaled(rep, rj.rep.items(), fj, dsj, sj)
             self._insert(vec, rep)
 
     # -- extraction ----------------------------------------------------
-    def normal_form_vec(self, vec):
-        return self._reduce(vec)
+    def reduces_to_zero(self, vec) -> bool:
+        """Whether the flat dict vec reduces to zero modulo the rows; stops
+        at the first irreducible term."""
+        _, ivec = _encode(vec, self.module.shifts)
+        return not _reduce(ivec, self.rows, self._lead_index, first=True)[0]
+
+    def original_syzygies(self, n=None):
+        """The recorded syzygies over the original generators, one at a
+        time: integer vectors in internal keys, each a positive multiple
+        of a syzygy, restricted to the first n generators when n is given."""
+        if n is None:
+            n = len(self.gen_scales)
+        den = lcm(*(k.denominator for k in self.gen_scales))
+        mult = [k.numerator * (den // k.denominator) for k in self.gen_scales]
+        for syz in self.syzygies:
+            yield {t: c * mult[t[1]] for t, c in syz.items() if t[1] < n}
 
     def reduced_basis_vecs(self):
-        """Deterministic reduced Groebner basis as flat dicts."""
-        key = self.key
+        """Deterministic reduced Groebner basis as monic flat dicts."""
+        rows = self.rows
         # keep rows whose lead is not divisible by another kept lead
-        order = sorted(range(len(self.rows)), key=lambda i: key(self.rows[i].lead))
+        order = sorted(range(len(rows)), key=lambda i: rows[i].lead, reverse=True)
         kept = []
         for i in order:
-            lead = self.rows[i].lead
-            divisible = any(k[0] == lead[0] and mono_divides(k[1], lead[1])
-                            for k in kept)
-            if not divisible:
-                kept.append(lead)
-        kept_rows = [r for r in self.rows if r.lead in kept]
+            _, comp, rm = rows[i].lead
+            if not any(k[1] == comp and all(map(le, k[2], rm)) for k in kept):
+                kept.append(rows[i].lead)
+        kept_rows = [r for r in rows if r.lead in kept]
         # tail-reduce each against the others
         out = []
         for r in kept_rows:
             others = [s for s in kept_rows if s is not r]
-            red = _reduce(r.vec, others, _index_by_lead(others), key)
+            red, _ = _reduce(dict(r.vec), others, _index_by_lead(others))
             if red:
-                lead = max(red, key=key)
-                red = _scaled(red, 1 / red[lead])
                 out.append(red)
-        out.sort(key=lambda v: key(max(v, key=key)))
-        return out
-
-
-def _index_by_lead(rows):
-    """{comp: [(lead mono, row index)]} for a list of monic rows."""
-    index = {}
-    for idx, r in enumerate(rows):
-        index.setdefault(r.lead[0], []).append((r.lead[1], idx))
-    return index
-
-
-def _reduce(vec, rows, lead_index, key, quotients=None):
-    """Full normal form of vec against monic rows indexed by lead_index.
-
-    quotients, if given, is filled as {row_idx: {mono: coeff}} with
-    vec = remainder + sum quotients[k] * rows[k].vec.
-    """
-    rem = dict(vec)
-    out = {}
-    while rem:
-        t = max(rem, key=key)
-        c = rem.pop(t)
-        comp, m = t
-        idx = None
-        for lm, i in lead_index.get(comp, ()):
-            if mono_divides(lm, m):
-                idx = i
-                break
-        if idx is None:
-            out[t] = c
-            continue
-        row = rows[idx]
-        shift = mono_div(m, row.lead[1])
-        for t2, c2 in row.vec.items():
-            if t2 == row.lead:
-                continue
-            tt = (t2[0], mono_mul(t2[1], shift))
-            s = rem.get(tt, 0) - c * c2
-            if s:
-                rem[tt] = s
-            else:
-                rem.pop(tt, None)
-        if quotients is not None:
-            q = quotients.setdefault(idx, {})
-            q[shift] = q.get(shift, 0) + c
-    return out
+        out.sort(key=min, reverse=True)
+        return [_decode(v, v[min(v)]) for v in out]
 
 
 def _monic_unique(vecs, module: FreeModule):
-    """The nonzero vecs as monic ModuleElements of module, first copy of each."""
-    key = ModuleOrder(module).key
+    """The nonzero integer vecs (internal keys over module's shifts) as
+    monic ModuleElements of module, first copy of each."""
     out = []
     seen = set()
     for vec in vecs:
         if not vec:
             continue
-        lead = max(vec, key=key)
-        el = ModuleElement(module, _scaled(vec, 1 / vec[lead]))
+        el = ModuleElement(module, _decode(vec, vec[min(vec)]))
         k = el.canonical_key()
         if k not in seen:
             seen.add(k)
@@ -409,13 +473,12 @@ def groebner_basis(gens, module: FreeModule | None = None,
 
 def normal_form(v: ModuleElement, gb) -> ModuleElement:
     """Remainder of v modulo a Groebner basis gb."""
-    module = v.module
-    key = ModuleOrder(module).key
-    rows = []
-    for g in gb:
-        lead = max(g.vec, key=key)
-        rows.append(_Row(_scaled(g.vec, 1 / g.vec[lead]), lead, None))
-    return ModuleElement(module, _reduce(v.vec, rows, _index_by_lead(rows), key))
+    shifts = v.module.shifts
+    rows = [_Row(_encode(g.vec, shifts)[1]) for g in gb]
+    k, ivec = _encode(v.vec, shifts)
+    out, scale = _reduce(ivec, rows, _index_by_lead(rows))
+    # scale * k * v = out + (a combination of gb)
+    return ModuleElement(v.module, _decode(out, scale * k))
 
 
 def syzygy_module(gens, module: FreeModule | None = None,
@@ -435,7 +498,7 @@ def syzygy_module(gens, module: FreeModule | None = None,
         eng.add_generator(g.vec, 0 if g.is_zero() else g.degree())
     eng.complete()
     F = FreeModule(module.nvars, eng.gen_degrees)
-    return _monic_unique(eng.syzygies, F), F
+    return _monic_unique(eng.original_syzygies(), F), F
 
 
 def kernel_of_map(columns, source: FreeModule, target: FreeModule,
@@ -454,14 +517,12 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
     eng = GroebnerEngine(target, track=True, max_pairs=max_pairs)
     for j, col in enumerate(columns):
         eng.add_generator(col.vec, source.shifts[j])
-    n = source.rank
     for (r, q) in (relations or []):
         vec = {(r, m): c for m, c in q.terms.items()}
         deg = (q.degree() or 0) + target.shifts[r]
         eng.add_generator(vec, deg)
     eng.complete()
-    return _monic_unique(({(i, m): c for (i, m), c in rep.items() if i < n}
-                          for rep in eng.syzygies), source)
+    return _monic_unique(eng.original_syzygies(source.rank), source)
 
 
 def _minimal_level(gens, module: FreeModule, max_pairs: int):
@@ -487,12 +548,12 @@ def _minimal_level(gens, module: FreeModule, max_pairs: int):
     for g in ordered:
         d = g.degree()
         eng.complete(max_degree=d)
-        if eng.normal_form_vec(g.vec):
+        if not eng.reduces_to_zero(g.vec):
             kept.append(g)
             eng.add_generator(g.vec, d)
     eng.complete()
     F = FreeModule(module.nvars, eng.gen_degrees)
-    return kept, F, _monic_unique(eng.syzygies, F)
+    return kept, F, _monic_unique(eng.original_syzygies(), F)
 
 
 def minimalize_generators(gens, module: FreeModule | None = None,
@@ -520,14 +581,16 @@ def lift(v: ModuleElement, gens, max_pairs: int = DEFAULT_MAX_PAIRS):
     for g in gens:
         eng.add_generator(g.vec, 0 if g.is_zero() else g.degree())
     eng.complete()
-    quotients = {}
-    rem = eng._reduce(v.vec, quotients)
+    k, ivec = _encode(v.vec, module.shifts)
+    rep = {}
+    rem, scale = _reduce(ivec, eng.rows, eng._lead_index, rep)
     if rem:
         return None
-    rep = eng._rep_of_quotients(quotients)
+    # 0 = scale * k * v + sum rep_i * gen_scales[i] * gens[i]
+    total = -scale * k
     coeffs = [{} for _ in gens]
-    for (i, m), c in rep.items():
-        coeffs[i][m] = coeffs[i].get(m, 0) + c
+    for (_, i, rm), c in rep.items():
+        coeffs[i][rm[::-1]] = c * eng.gen_scales[i] / total
     return [Polynomial(module.nvars, t) for t in coeffs]
 
 

@@ -171,10 +171,11 @@ def _audit_membership(arr: Arrangement, mult: Multiplicity, p: int, gens):
     """Direct divisibility check of the defining condition for each generator."""
     ell = arr.ell
     cols = _subset_index(ell, p)
+    alpha_pows = [h.form() ** mult.values[hi]
+                  for hi, h in enumerate(arr.hyperplanes)]
     for g in gens:
         comps = {I: g.component(ci) for ci, I in enumerate(cols)}
-        for hi, h in enumerate(arr.hyperplanes):
-            alpha_pow = h.form() ** mult.values[hi]
+        for h, alpha_pow in zip(arr.hyperplanes, alpha_pows):
             for J in itertools.combinations(range(ell), p - 1):
                 s = Polynomial.zero(ell)
                 for i in range(ell):

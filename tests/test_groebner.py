@@ -214,9 +214,11 @@ def test_truncated_minimalization_matches_greedy_oracle(data):
     if not polys:
         return
     # redundant candidates: combinations a*f + b*g of earlier generators
+    # (a combination may be zero; it stays a candidate but is no factor)
     for _ in range(data.draw(st.integers(1, 3))):
-        f = data.draw(st.sampled_from(polys))
-        g = data.draw(st.sampled_from(polys))
+        factors = [p for p in polys if not p.is_zero()]
+        f = data.draw(st.sampled_from(factors))
+        g = data.draw(st.sampled_from(factors))
         d = max(f.degree(), g.degree()) + data.draw(st.integers(0, 1))
         a = data.draw(homogeneous_polys(nvars, degree=d - f.degree()))
         b = data.draw(homogeneous_polys(nvars, degree=d - g.degree()))
@@ -235,6 +237,84 @@ def test_truncated_minimalization_matches_greedy_oracle(data):
         for i, g in enumerate(kept):
             total = total + s.component(i) * g.component(0)
         assert total.is_zero()
+
+
+# -- exactness with rational coefficients -----------------------------------
+# The engine reduces fraction-free over integer rows; these checks feed it
+# generators with denominators 1..6, so every scale it divides out on the
+# way back to Q is exercised.
+
+@st.composite
+def fraction_polys(draw, nvars, degrees):
+    """A polynomial with coefficients n/d, |n| <= 4, d in 1..6, whose
+    terms have degrees drawn from `degrees`."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.sampled_from(degrees))
+        m = draw(st.sampled_from(monomials_of_degree(nvars, d)))
+        terms[m] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 6)))
+    return Polynomial(nvars, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_normal_form_matches_single_divisor_division(data):
+    # one divisor is a Groebner basis of its ideal, and Polynomial.divide is
+    # an independent grevlex division with Fraction arithmetic; the inputs
+    # need not be homogeneous
+    nvars = 3
+    module = FreeModule(nvars, [0])
+    g = data.draw(fraction_polys(nvars, [0, 1, 2]))
+    h = data.draw(fraction_polys(nvars, [0, 1, 2, 3, 4]))
+    if g.is_zero():
+        return
+    nf = normal_form(ring_element(module, h), [ring_element(module, g)])
+    assert nf.component(0) == h.divide(g)[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_lift_reconstructs_fraction_target(data):
+    nvars = 3
+    module = FreeModule(nvars, [0])
+    gens = [data.draw(fraction_polys(nvars, [data.draw(st.integers(1, 2))]))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return
+    d = max(g.degree() for g in gens) + data.draw(st.integers(0, 1))
+    target = Polynomial.zero(nvars)
+    for g in gens:
+        target = target + data.draw(fraction_polys(nvars, [d - g.degree()])) * g
+    coeffs = lift(ring_element(module, target), [ring_element(module, g) for g in gens])
+    assert coeffs is not None
+    recon = Polynomial.zero(nvars)
+    for c, g in zip(coeffs, gens):
+        recon = recon + c * g
+    assert recon == target
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_syzygies_of_fraction_generators_annihilate(data):
+    nvars = 2
+    module = FreeModule(nvars, [0, 1])
+    gens = []
+    for _ in range(data.draw(st.integers(2, 4))):
+        d = data.draw(st.integers(1, 3))
+        gens.append(module.element([data.draw(fraction_polys(nvars, [d])),
+                                    data.draw(fraction_polys(nvars, [d - 1]))]))
+    gens = [g for g in gens if not g.is_zero()]
+    if len(gens) < 2:
+        return
+    syz, F = syzygy_module(gens, module)
+    assert F.shifts == tuple(g.degree() for g in gens)
+    for s in syz:
+        for j in range(module.rank):
+            total = Polynomial.zero(nvars)
+            for i, g in enumerate(gens):
+                total = total + s.component(i) * g.component(j)
+            assert total.is_zero()
 
 
 def test_resolution_past_hilbert_bound_is_a_certificate_error(monkeypatch):
