@@ -30,7 +30,8 @@ from .exceptions import CertificateError, StructuralError
 from .groebner import (DEFAULT_MAX_PAIRS, BettiTable, FreeModule,
                        ModuleElement, Resolution, free_module_hilbert,
                        hilbert_series, kernel_of_map, minimal_free_resolution)
-from .ratpoly import Polynomial, RationalSeries
+from .ratpoly import (IntegerDivisor, Polynomial, RationalSeries,
+                      integer_terms)
 
 
 @dataclass
@@ -168,26 +169,41 @@ def derivation_module(arr: Arrangement, mult: Multiplicity, p: int,
 
 
 def _audit_membership(arr: Arrangement, mult: Multiplicity, p: int, gens):
-    """Direct divisibility check of the defining condition for each generator."""
+    """Direct divisibility check of the defining condition for each generator.
+
+    For every hyperplane H and (p-1)-subset J, the combination s of the
+    generator's components given by the coefficients of alpha_H must be
+    divisible by alpha_H^{m(H)}.  The check uses only `ratpoly`, never the
+    Groebner engine it audits: each alpha_H^{m(H)} becomes one primitive
+    `IntegerDivisor`, each generator's components become integer dicts
+    with one joint scale, and s is an integer dict.  Scaling by a nonzero
+    integer does not change divisibility, and the quotient by a primitive
+    divisor is integral (Gauss's lemma), so the heap division may stop at
+    the first lead term that the divisor's lead does not divide or that
+    leaves an integer remainder: then s has a nonzero remainder, and the
+    generator is not in D^p.
+    """
     ell = arr.ell
     cols = _subset_index(ell, p)
-    alpha_pows = [h.form() ** mult.values[hi]
-                  for hi, h in enumerate(arr.hyperplanes)]
+    divisors = [IntegerDivisor(h.form() ** mult.values[hi])
+                for hi, h in enumerate(arr.hyperplanes)]
     for g in gens:
-        comps = {I: g.component(ci) for ci, I in enumerate(cols)}
-        for h, alpha_pow in zip(arr.hyperplanes, alpha_pows):
+        comps = {I: {} for I in cols}
+        for (ci, m), c in integer_terms(g.vec).items():
+            comps[cols[ci]][m] = c
+        for h, divisor in zip(arr.hyperplanes, divisors):
             for J in itertools.combinations(range(ell), p - 1):
-                s = Polynomial.zero(ell)
+                s = {}
                 for i in range(ell):
-                    if i in J:
+                    c = h.coeffs[i]
+                    if not c or i in J:
                         continue
                     I = tuple(sorted(J + (i,)))
-                    k = I.index(i)
-                    c = h.coeffs[i]
-                    if c:
-                        sign = -1 if k % 2 else 1
-                        s = s + comps[I].scale(sign * c)
-                if not s.is_zero() and not s.is_divisible_by(alpha_pow):
+                    if I.index(i) % 2:
+                        c = -c
+                    for m, v in comps[I].items():
+                        s[m] = s.get(m, 0) + c * v
+                if not divisor.divides(s):
                     raise CertificateError(
                         f"membership audit failed for D^{p} generator at "
                         f"hyperplane {list(h.coeffs)}")

@@ -8,11 +8,24 @@ point anywhere.
 
 Monomials are plain exponent tuples; the helpers below treat them as an
 abelian monoid so the Groebner engine can share them.
+
+Division by one polynomial (Monagan-Pearce, Sparse polynomial division
+using a heap, JSC 2011) keys each remainder term once, when it enters,
+by `_key`, and takes the grevlex lead from a heap.  Divisibility is
+decided in integers: `IntegerDivisor` makes the divisor primitive over
+Z, so by Gauss's lemma the quotient of an integral dividend is integral,
+and the first lead term that the divisor's lead does not divide, or that
+leaves a nonzero integer remainder, proves non-divisibility at once.
+This module imports nothing from `groebner`: the membership audit built
+on it stays independent of the Groebner engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, le, sub
 from typing import Iterable, Mapping
 
 from .exceptions import NonDivisibleError, StructuralError
@@ -36,22 +49,15 @@ def mono_divides(a: Mono, b: Mono) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(b: Mono, a: Mono) -> Mono:
-    """b - a, assuming mono_divides(a, b)."""
-    return tuple(y - x for x, y in zip(a, b))
-
-
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_deg(a: Mono) -> int:
     return sum(a)
 
 
-def grevlex_key(a: Mono):
-    """Sort key: larger key = larger monomial in graded reverse lex."""
-    return (sum(a), tuple(-e for e in reversed(a)))
+def _key(a: Mono):
+    """Heap key: the smallest key is the largest monomial in graded
+    reverse lex (higher degree first, then the smaller last exponent).
+    Keys multiply componentwise, like the monomials they encode."""
+    return (-sum(a), a[::-1])
 
 
 def _coerce(c) -> Fraction:
@@ -236,33 +242,36 @@ class Polynomial:
         self._check(divisor)
         if divisor.is_zero():
             raise StructuralError("division by zero polynomial")
-        dlm = max(divisor.terms, key=grevlex_key)
-        dlc = divisor.terms[dlm]
-        rem = dict(self.terms)
+        (lnd, lr), lc, tail = _lead_and_tail(divisor.terms)
+        rem = {_key(m): c for m, c in self.terms.items()}
+        heap = list(rem)
+        heapify(heap)
         quo = {}
         out = {}
-        while rem:
-            m = max(rem, key=grevlex_key)
-            c = rem.pop(m)
-            if mono_divides(dlm, m):
-                shift = mono_div(m, dlm)
-                q = c / dlc
-                quo[shift] = quo.get(shift, 0) + q
-                for dm, dc in divisor.terms.items():
-                    if dm == dlm:
-                        continue
-                    mm = mono_mul(dm, shift)
-                    s = rem.get(mm, 0) - q * dc
-                    if s:
-                        rem[mm] = s
-                    else:
-                        rem.pop(mm, None)
-            else:
-                out[m] = c
+        while heap:
+            key = heappop(heap)
+            c = rem.pop(key)
+            if not c:
+                continue
+            nd, r = key
+            if not all(map(le, lr, r)):
+                out[r[::-1]] = c
+                continue
+            q = c / lc
+            sd, sr = nd - lnd, tuple(map(sub, r, lr))
+            quo[sr[::-1]] = q
+            for tnd, tr, tc in tail:
+                k = (tnd + sd, tuple(map(add, tr, sr)))
+                if k in rem:
+                    rem[k] -= q * tc
+                else:
+                    rem[k] = -q * tc
+                    heappush(heap, k)
         return Polynomial(self.nvars, quo), Polynomial(self.nvars, out)
 
     def is_divisible_by(self, divisor: "Polynomial") -> bool:
-        return self.divide(divisor)[1].is_zero()
+        self._check(divisor)
+        return IntegerDivisor(divisor).divides(integer_terms(self.terms))
 
     # -- rendering
     def sorted_terms(self):
@@ -285,6 +294,72 @@ class Polynomial:
         for entry in data:
             terms[tuple(entry["e"])] = Fraction(entry["c"])
         return cls(nvars, terms)
+
+
+def integer_terms(terms):
+    """Fraction values times the lcm of their denominators, as integers
+    under the same keys (one joint scale for all of them)."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
+
+
+def _lead_and_tail(terms):
+    """Split {monomial: coefficient} into the grevlex lead's key, its
+    coefficient, and the other terms as (-degree, reversed exponents,
+    coefficient)."""
+    keyed = sorted((_key(m), c) for m, c in terms.items())
+    (lead, lc), rest = keyed[0], keyed[1:]
+    return lead, lc, [(nd, r, c) for (nd, r), c in rest]
+
+
+class IntegerDivisor:
+    """A nonzero polynomial made primitive over Z, keyed once, for exact
+    divisibility tests of integer polynomials.
+
+    Since the divisor is primitive, Gauss's lemma makes the quotient of
+    an integral multiple integral, so `divides` returns False at the
+    first lead term whose monomial or coefficient the divisor's lead
+    does not divide.
+    """
+
+    __slots__ = ("lead", "lead_coeff", "tail")
+
+    def __init__(self, p: Polynomial):
+        if p.is_zero():
+            raise StructuralError("division by zero polynomial")
+        ints = integer_terms(p.terms)
+        content = gcd(*ints.values())
+        self.lead, self.lead_coeff, self.tail = _lead_and_tail(
+            {m: c // content for m, c in ints.items()})
+
+    def divides(self, terms: Mapping[Mono, int]) -> bool:
+        """True iff the integer polynomial {monomial: int} is a multiple
+        of this divisor (the zero polynomial is)."""
+        rem = {_key(m): c for m, c in terms.items() if c}
+        heap = list(rem)
+        heapify(heap)
+        lnd, lr = self.lead
+        lc, tail = self.lead_coeff, self.tail
+        while heap:
+            key = heappop(heap)
+            c = rem.pop(key)
+            if not c:
+                continue
+            nd, r = key
+            if not all(map(le, lr, r)):
+                return False
+            q, x = divmod(c, lc)
+            if x:
+                return False
+            sd, sr = nd - lnd, tuple(map(sub, r, lr))
+            for tnd, tr, tc in tail:
+                k = (tnd + sd, tuple(map(add, tr, sr)))
+                if k in rem:
+                    rem[k] -= q * tc
+                else:
+                    rem[k] = -q * tc
+                    heappush(heap, k)
+        return True
 
 
 def format_mono(m: Mono, nvars: int) -> str:

@@ -1,11 +1,13 @@
 """Logarithmic modules: minimal generators, resolutions, freeness,
 tameness, and the derivation/form duality."""
 
+from fractions import Fraction
+
 import pytest
 
 from stlog import logmod
 from stlog.arrangement import Multiplicity, parse
-from stlog.exceptions import StructuralError
+from stlog.exceptions import CertificateError, StructuralError
 from stlog.fixtures import load
 from stlog.groebner import free_module_hilbert
 from stlog.ratpoly import LaurentPolynomial, Polynomial, RationalSeries
@@ -156,3 +158,23 @@ def test_hilbert_series_low_degrees_by_direct_count():
     assert coeffs[1] == 1
     # degree 2: 3 new generators + 3 multiples x_i * theta_E... count = 1*3 + 3
     assert coeffs[2] == 6
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_audit_rejects_generator_outside_dp(p):
+    # A multiple of x1^deg in the d_I component with I = (0..p-1) enters s
+    # at every hyperplane with a nonzero coefficient on x1..xp; no
+    # hyperplane of ex2_B is x1 (and m = 1), so the first of them fails.
+    arr, mult = load("ex2_B")
+    gens = logmod.derivation_module(arr, mult, p).generators
+    logmod._audit_membership(arr, mult, p, gens)
+    g = gens[-1]
+    comps = g.components()
+    x1_pow = Polynomial.variable(0, arr.ell) ** g.degree()
+    comps[0] = comps[0] + x1_pow.scale(Fraction(3, 2))
+    bad = g.module.element(comps)
+    first = next(list(h.coeffs) for h in arr.hyperplanes if any(h.coeffs[:p]))
+    with pytest.raises(CertificateError) as exc:
+        logmod._audit_membership(arr, mult, p, gens[:-1] + [bad])
+    assert str(exc.value) == (f"membership audit failed for D^{p} generator "
+                              f"at hyperplane {first}")

@@ -1,12 +1,15 @@
 """Polynomial and series arithmetic: ring axioms, exact division,
 substitution homomorphisms."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stlog import ratpoly
 from stlog.exceptions import NonDivisibleError, StructuralError
 from stlog.ratpoly import (ONE_MINUS_X, BiPolynomial, LaurentPolynomial,
                            Polynomial, RationalSeries, exact_divide)
@@ -14,10 +17,11 @@ from stlog.ratpoly import (ONE_MINUS_X, BiPolynomial, LaurentPolynomial,
 # -- strategies -------------------------------------------------------------
 
 coeffs = st.integers(min_value=-6, max_value=6)
+fractions = st.builds(Fraction, coeffs, st.integers(1, 6))
 
 
 @st.composite
-def polynomials(draw, nvars=2, max_deg=3, max_terms=4):
+def polynomials(draw, nvars=2, max_deg=3, max_terms=4, coeffs=coeffs):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         mono = tuple(draw(st.integers(0, max_deg)) for _ in range(nvars))
@@ -25,6 +29,21 @@ def polynomials(draw, nvars=2, max_deg=3, max_terms=4):
         if c:
             terms[mono] = Fraction(c)
     return Polynomial(nvars, terms)
+
+
+@st.composite
+def scaled_powers(draw, nvars=3):
+    """Non-primitive divisors c * alpha^m of a linear form alpha."""
+    alpha = Polynomial.from_linear_form(
+        draw(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars)
+             .filter(any)))
+    c = draw(st.sampled_from([Fraction(6, 5), Fraction(-4), Fraction(1, 3)]))
+    return (alpha ** draw(st.integers(1, 3))).scale(c)
+
+
+def grevlex_lead(p):
+    """Reference grevlex lead: highest degree, then smallest last exponent."""
+    return max(p.terms, key=lambda m: (sum(m), tuple(-e for e in reversed(m))))
 
 
 @st.composite
@@ -71,6 +90,44 @@ def test_poly_division_identity(a, b):
         return
     q, r = a.divide(b)
     assert q * b + r == a
+    lead = grevlex_lead(b)
+    assert not any(all(x <= y for x, y in zip(lead, m)) for m in r.terms)
+
+
+@settings(max_examples=80)
+@given(polynomials(coeffs=fractions), polynomials(coeffs=fractions))
+def test_divisibility_matches_division_remainder(a, b):
+    with pytest.raises(StructuralError):
+        a.is_divisible_by(Polynomial.zero(2))
+    if b.is_zero():
+        return
+    assert a.is_divisible_by(b) == a.divide(b)[1].is_zero()
+    assert (a * b).is_divisible_by(b)
+
+
+@settings(max_examples=80)
+@given(polynomials(nvars=3, coeffs=fractions), scaled_powers(),
+       polynomials(nvars=3, max_deg=2, max_terms=2, coeffs=fractions))
+def test_divisibility_by_non_primitive_powers(a, b, noise):
+    # Fraction(6, 5) * alpha^m is not primitive over Z: the integer test
+    # must make it primitive before it may reject a non-integral quotient
+    assert (a * b).is_divisible_by(b)
+    c = a * b + noise
+    assert c.is_divisible_by(b) == c.divide(b)[1].is_zero()
+
+
+def test_ratpoly_is_independent_of_groebner():
+    # the membership audit divides with ratpoly alone, so that it checks
+    # the Groebner engine rather than reusing it
+    tree = ast.parse(Path(ratpoly.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("groebner" in name for name in imported)
 
 
 @settings(max_examples=60)
