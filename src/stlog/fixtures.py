@@ -33,7 +33,3 @@ def fixture_text(name: str) -> str:
 def load(name: str):
     """Parse a named fixture into (Arrangement, Multiplicity)."""
     return parse(fixture_text(name))
-
-
-def all_fixtures():
-    return [(name, *load(name)) for name in NAMES]

@@ -16,7 +16,10 @@ engine (`_minimal_level`): the candidates are fed by increasing degree,
 each is kept only if it is not in the span of those kept before it
 (graded Nakayama), and the same engine, completed at the end, yields
 the syzygies of the kept generators, which are the next module's
-candidates.
+candidates.  The same degree truncation gives the Hilbert function of
+an Artinian quotient S/I (`quotient_colength`): one untracked engine is
+completed one degree at a time, and its standard monomials are counted
+until the first degree that has none.
 
 Fractions appear only at the boundary: the public ModuleElement holds a
 flat dict {(component, monomial): Fraction}, with one per-component
@@ -45,7 +48,7 @@ from operator import add, le, sub
 from .exceptions import (CertificateError, ResourceBudgetError,
                          StructuralError)
 from .ratpoly import (LaurentPolynomial, Polynomial, RationalSeries,
-                      mono_deg, mono_divides, mono_mul, mono_zero)
+                      mono_deg, mono_mul, mono_zero)
 
 DEFAULT_MAX_PAIRS = 500_000
 
@@ -122,10 +125,6 @@ class ModuleElement:
             raise StructuralError("element is not homogeneous")
         return degs.pop()
 
-    def is_homogeneous(self) -> bool:
-        degs = {mono_deg(m) + self.module.shifts[i] for (i, m) in self.vec}
-        return len(degs) <= 1
-
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         vec = dict(self.vec)
         _iadd_scaled(vec, other.vec, Fraction(1), mono_zero(self.module.nvars))
@@ -138,12 +137,6 @@ class ModuleElement:
 
     def __neg__(self):
         return ModuleElement(self.module, {t: -c for t, c in self.vec.items()})
-
-    def scale_poly(self, p: Polynomial) -> "ModuleElement":
-        vec = {}
-        for m, c in p.terms.items():
-            _iadd_scaled(vec, self.vec, c, m)
-        return ModuleElement(self.module, vec)
 
     def __eq__(self, other):
         return (isinstance(other, ModuleElement)
@@ -158,20 +151,6 @@ class ModuleElement:
     def __repr__(self):
         comps = ", ".join(str(p) for p in self.components())
         return f"({comps})"
-
-
-class ModuleOrder:
-    """Degree-first, then position-over-term, then grevlex."""
-
-    __slots__ = ("shifts",)
-
-    def __init__(self, module: FreeModule):
-        self.shifts = module.shifts
-
-    def key(self, term):
-        comp, m = term
-        return (mono_deg(m) + self.shifts[comp], -comp,
-                tuple(-e for e in reversed(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +172,8 @@ def _iadd_scaled(dst, src, c, mono):
 #
 # A term (comp, mono) of a module with shifts is stored as its own order
 # key (-(deg mono + shifts[comp]), comp, mono[::-1]): the smallest key is
-# the largest term under ModuleOrder, so min() picks the lead.  Multiplying
+# the largest term of the module order (higher degree first, then the
+# lower component, then grevlex), so min() picks the lead.  Multiplying
 # by x^s, kept reversed as s with degree ds, maps (nd, comp, rm) to
 # (nd - ds, comp, rm + s).  Representation vectors use the same keys over
 # the free module on the generators (shifts = generator degrees).
@@ -394,6 +374,11 @@ class GroebnerEngine:
                 _isub_scaled(rep, rj.rep.items(), fj, dsj, sj)
             self._insert(vec, rep)
 
+    @property
+    def done(self) -> bool:
+        """Whether no S-pair is pending."""
+        return not self._pairs
+
     # -- extraction ----------------------------------------------------
     def reduces_to_zero(self, vec) -> bool:
         """Whether the flat dict vec reduces to zero modulo the rows; stops
@@ -493,12 +478,8 @@ def syzygy_module(gens, module: FreeModule | None = None,
         if not gens:
             raise StructuralError("empty generator list without explicit module")
         module = gens[0].module
-    eng = GroebnerEngine(module, track=True, max_pairs=max_pairs)
-    for g in gens:
-        eng.add_generator(g.vec, 0 if g.is_zero() else g.degree())
-    eng.complete()
-    F = FreeModule(module.nvars, eng.gen_degrees)
-    return _monic_unique(eng.original_syzygies(), F), F
+    F = FreeModule(module.nvars, [0 if g.is_zero() else g.degree() for g in gens])
+    return kernel_of_map(gens, F, module, max_pairs=max_pairs), F
 
 
 def kernel_of_map(columns, source: FreeModule, target: FreeModule,
@@ -744,35 +725,51 @@ def quotient_colength(ideal_gens, nvars: int | None = None,
 
     Returns (colength, {degree: dimension}) when the quotient is finite
     dimensional over Q, None otherwise.
+
+    dim (S/I)_k is the number of standard monomials of degree k, those
+    no lead term of a Groebner basis divides (Cox-Little-O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 9).  One engine is completed one
+    degree at a time: S-pairs of degree > k only add rows of degree > k,
+    so the leads of the basis completed through degree k generate the
+    lead ideal in every degree <= k and count (S/I)_k exactly.  The
+    divisors of a standard monomial are standard, so those of degree k
+    are the standard multiples x_i * m of those of degree k - 1.  S/I is
+    generated by 1 in degree 0, so (S/I)_{k+1} = S_1 (S/I)_k: once a
+    degree is empty, so is every higher one, and the count is complete.
+    Once no S-pair is pending the basis is complete, and S/I is finite
+    dimensional iff every variable has a pure-power lead.
     """
     ideal_gens = [g for g in ideal_gens if not g.is_zero()]
     if nvars is None:
         if not ideal_gens:
             return None
         nvars = ideal_gens[0].nvars
-    S1 = FreeModule(nvars, [0])
-    elements = [ModuleElement(S1, {(0, m): c for m, c in g.terms.items()})
-                for g in ideal_gens]
-    gb = groebner_basis(elements, S1, max_pairs=max_pairs)
-    leads = [max(g.vec, key=ModuleOrder(S1).key)[1] for g in gb]
-    bounds = [None] * nvars
-    for lm in leads:
-        support = [i for i, e in enumerate(lm) if e]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or lm[i] < bounds[i]:
-                bounds[i] = lm[i]
-    if any(b is None for b in bounds):
-        return None
+    eng = GroebnerEngine(FreeModule(nvars, [0]), max_pairs=max_pairs)
+    for g in ideal_gens:
+        if not g.is_homogeneous():
+            raise StructuralError("ideal generator is not homogeneous")
+        eng.add_generator({(0, m): c for m, c in g.terms.items()}, g.degree())
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    standard = {mono_zero(nvars)}
     hf = {}
-    total = 0
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        if any(mono_divides(lm, exps) for lm in leads):
-            continue
-        d = sum(exps)
-        hf[d] = hf.get(d, 0) + 1
-        total += 1
-    return total, dict(sorted(hf.items()))
+    k = 0
+    while True:
+        eng.complete(max_degree=k)
+        # row leads are reversed monomials, and `standard` lives in the
+        # same reversed coordinates: degrees, divisibility and counts agree
+        leads = [r.lead[2] for r in eng.rows]
+        standard = {m for m in standard
+                    if not any(all(map(le, lm, m)) for lm in leads)}
+        if not standard:
+            return sum(hf.values()), hf
+        hf[k] = len(standard)
+        if eng.done:
+            pure = {i for lm in leads for i, e in enumerate(lm)
+                    if 0 < e == sum(lm)}
+            if len(pure) < nvars:
+                return None
+        k += 1
+        standard = {mono_mul(m, u) for m in standard for u in units}
 
 
 def poly_dimension(nvars: int, d: int) -> int:

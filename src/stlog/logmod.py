@@ -139,10 +139,9 @@ def derivation_module(arr: Arrangement, mult: Multiplicity, p: int,
             if cj == ci:
                 vec[(r, (0,) * nvars)] = Fraction(v)
         columns.append(ModuleElement(target, vec))
-    relations = []
-    for r, (hi, _) in enumerate(rows):
-        q = arr.hyperplanes[hi].form() ** mult.values[hi]
-        relations.append((r, q))
+    powers = [h.form() ** mult.values[hi]
+              for hi, h in enumerate(arr.hyperplanes)]
+    relations = [(r, powers[hi]) for r, (hi, _) in enumerate(rows)]
 
     raw = kernel_of_map(columns, source, target, relations, max_pairs=max_pairs)
     res = minimal_free_resolution(raw, source, max_pairs=max_pairs)

@@ -68,6 +68,19 @@ def _coerce(c) -> Fraction:
     raise StructuralError(f"non-rational coefficient {c!r}")
 
 
+def _power(base, k: int, one):
+    """base**k for k >= 0 by square-and-multiply, starting from one; the
+    last bit of k needs no further squaring."""
+    result = one
+    while True:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
+
+
 # ---------------------------------------------------------------------------
 # multivariate polynomials
 
@@ -194,14 +207,7 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise StructuralError("negative polynomial power")
-        result = Polynomial.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, Polynomial.one(self.nvars))
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.nvars == other.nvars
@@ -484,14 +490,7 @@ class LaurentPolynomial:
     def __pow__(self, k: int) -> "LaurentPolynomial":
         if k < 0:
             raise StructuralError("negative Laurent power; invert explicitly")
-        result = LaurentPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, LaurentPolynomial.one())
 
     def __eq__(self, other):
         return isinstance(other, LaurentPolynomial) and self.terms == other.terms
@@ -733,14 +732,7 @@ class BiPolynomial:
     def __pow__(self, k: int) -> "BiPolynomial":
         if k < 0:
             raise StructuralError("negative power")
-        result = BiPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, BiPolynomial.one())
 
     def __eq__(self, other):
         return isinstance(other, BiPolynomial) and self.terms == other.terms

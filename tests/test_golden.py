@@ -1,6 +1,7 @@
 """Golden CLI outputs: `tame`, `free` and `betti -p 2` on the five paper
-fixtures must print exactly the JSON recorded in the benchmark's
-reference file, which this test only reads."""
+fixtures, and `verify --suite paper`, must print exactly the JSON
+recorded in the benchmark's reference files, which these tests only
+read."""
 
 import json
 from pathlib import Path
@@ -21,3 +22,8 @@ def test_cli_json_matches_reference(request_id, tmp_path, capsys):
     path.write_text(fixture_text(name))
     assert main([*command, str(path), "--json"]) == 0
     assert capsys.readouterr().out == GOLDEN[request_id]
+
+
+def test_verify_paper_matches_reference(capsys):
+    assert main(["verify", "--suite", "paper", "--json"]) == 0
+    assert capsys.readouterr().out == (REFERENCE / "verify-paper.json").read_text()

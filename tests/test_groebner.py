@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlog import groebner, linalg
-from stlog.exceptions import CertificateError
+from stlog.exceptions import CertificateError, StructuralError
 from stlog.groebner import (FreeModule, groebner_basis, hilbert_series,
                             kernel_of_map, lift, minimal_free_resolution,
                             minimalize_generators, normal_form, poly_dimension,
@@ -41,10 +41,9 @@ def monomials_of_degree(nvars, d):
     return sorted(out)
 
 
-def membership_by_linear_algebra(h, gens):
-    """Homogeneous membership test on the graded piece of deg(h)."""
-    nvars = h.nvars
-    d = h.degree()
+def graded_piece(gens, nvars, d):
+    """The monomial index of S_d and the rows {monomial * g} of degree d,
+    which span I_d for I = (gens)."""
     basis = monomials_of_degree(nvars, d)
     index = {m: i for i, m in enumerate(basis)}
     rows = []
@@ -58,7 +57,13 @@ def membership_by_linear_algebra(h, gens):
             for mono, c in prod.terms.items():
                 row[index[mono]] = c
             rows.append(row)
-    target = [Fraction(0)] * len(basis)
+    return index, rows
+
+
+def membership_by_linear_algebra(h, gens):
+    """Homogeneous membership test on the graded piece of deg(h)."""
+    index, rows = graded_piece(gens, h.nvars, h.degree())
+    target = [Fraction(0)] * len(index)
     for mono, c in h.terms.items():
         target[index[mono]] = c
     ech, _ = linalg.rref(rows)
@@ -71,11 +76,11 @@ def membership_by_groebner(h, gens, module):
 
 
 @st.composite
-def homogeneous_polys(draw, nvars=3, degree=None):
+def homogeneous_polys(draw, nvars=3, degree=None, max_terms=4):
     d = degree if degree is not None else draw(st.integers(1, 4))
     terms = {}
     monos = monomials_of_degree(nvars, d)
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, max_terms))):
         m = draw(st.sampled_from(monos))
         c = draw(st.integers(-4, 4))
         if c:
@@ -364,6 +369,73 @@ def test_quotient_colength_infinite_returns_none():
     nvars = 2
     x = Polynomial.variable(0, 2)
     assert quotient_colength([x], nvars) is None
+
+
+def hilbert_function_by_linear_algebra(gens, nvars, top):
+    """dim (S/I)_k = C(n+k-1, k) - rank{x^u * g : deg u = k - deg g}, for
+    k = 0..top, with no Groebner basis involved."""
+    hf = {}
+    for k in range(top + 1):
+        index, rows = graded_piece(gens, nvars, k)
+        hf[k] = len(index) - linalg.rank(rows)
+    return hf
+
+
+@st.composite
+def colength_ideals(draw, artinian):
+    """Random homogeneous generators of degree 1..3 in 2 or 3 variables.
+    Artinian ideals also get pure powers x_i^{a_i}; the others lie in
+    (x1..x_{n-1}), so S/I is infinite dimensional.  Returns (gens, nvars,
+    top) with (S/I)_k = 0 for k >= top when artinian."""
+    nvars = draw(st.integers(2, 3))
+    gens = [draw(homogeneous_polys(nvars, degree=draw(st.integers(1, 3)),
+                                   max_terms=8))
+            for _ in range(draw(st.integers(1, 3)))]
+    if artinian:
+        powers = [draw(st.integers(1, 3)) for _ in range(nvars)]
+        gens += [Polynomial.variable(i, nvars) ** a for i, a in enumerate(powers)]
+        return gens, nvars, sum(a - 1 for a in powers) + 1
+    last = nvars - 1
+    gens = [Polynomial(nvars, {m: c for m, c in g.terms.items()
+                               if any(m[:last])}) for g in gens]
+    return gens, nvars, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(colength_ideals(artinian=True))
+def test_quotient_colength_matches_linear_algebra(ideal):
+    gens, nvars, top = ideal
+    hf = {k: v for k, v in
+          hilbert_function_by_linear_algebra(gens, nvars, top).items() if v}
+    assert quotient_colength(gens, nvars) == (sum(hf.values()), hf)
+
+
+@settings(max_examples=30, deadline=None)
+@given(colength_ideals(artinian=False))
+def test_quotient_colength_of_non_artinian_ideal_is_none(ideal):
+    gens, nvars, _ = ideal
+    assert quotient_colength(gens, nvars) is None
+
+
+def test_quotient_colength_counts_leads_from_s_pairs():
+    # the leads x^2, xy of the generators leave y^3 standard; only the
+    # degree-3 S-pair y(x^2 - y^2) - x(xy) = -y^3 removes it
+    x, y = variables(2)
+    gens = [x * y, x * x - y * y]
+    assert hilbert_function_by_linear_algebra(gens, 2, 4) == {
+        0: 1, 1: 2, 2: 1, 3: 0, 4: 0}
+    assert quotient_colength(gens, 2) == (4, {0: 1, 1: 2, 2: 1})
+
+
+def test_quotient_colength_rejects_inhomogeneous_generator():
+    x, y = variables(2)
+    with pytest.raises(StructuralError):
+        quotient_colength([x + y * y, y * y], 2)
+
+
+def test_quotient_colength_of_unit_ideal_is_zero():
+    # S/S = 0 is finite dimensional, of colength 0
+    assert quotient_colength([Polynomial.one(2)], 2) == (0, {})
 
 
 def test_poly_dimension_matches_enumeration():
