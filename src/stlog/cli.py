@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 check/genericity failure, 2 input error,
-3 resource budget exceeded.  Budgets can also be set through the
-environment variables STLOG_MAX_PAIRS and STLOG_MAX_ETA_ATTEMPTS; flags
-win over the environment.
+3 resource budget exceeded.  Every command runs as one request
+(`session.request`): `--max-pairs` bounds all S-pairs of the request,
+and a D^p the request has already computed is reused at no cost.
+Budgets can also be set through the environment variables
+STLOG_MAX_PAIRS and STLOG_MAX_ETA_ATTEMPTS; flags win over the
+environment.
 """
 
 from __future__ import annotations
@@ -16,12 +19,11 @@ import sys
 
 from . import arrangement as arrmod
 from . import lattice as latmod
-from . import logmod, stpoly, verify
+from . import logmod, session, stpoly, verify
 from .arrangement import Multiplicity, parse
 from .exceptions import (CertificateError, GenericityNotFoundError,
                          NonGenericEtaError, ParseError, ResourceBudgetError,
                          StlogError)
-from .groebner import DEFAULT_MAX_PAIRS
 from .ratpoly import Polynomial
 
 
@@ -154,7 +156,7 @@ def _cmd_lattice(args, arr, mult):
 
 
 def _cmd_chi(args, arr, mult):
-    chi = stpoly.char_polynomial_multi(arr, mult, max_pairs=args.max_pairs)
+    chi = stpoly.char_polynomial_multi(arr, mult)
     if args.json:
         print(_dump({"chi": chi.to_json()}))
     else:
@@ -164,8 +166,8 @@ def _cmd_chi(args, arr, mult):
 
 def _get_module(args, arr, mult):
     if args.omega:
-        return logmod.omega_module(arr, mult, args.p, max_pairs=args.max_pairs)
-    return logmod.derivation_module(arr, mult, args.p, max_pairs=args.max_pairs)
+        return logmod.omega_module(arr, mult, args.p)
+    return logmod.derivation_module(arr, mult, args.p)
 
 
 def _cmd_logmod(args, arr, mult):
@@ -191,7 +193,7 @@ def _cmd_betti(args, arr, mult):
 
 
 def _cmd_free(args, arr, mult):
-    cert = logmod.is_free(arr, mult, max_pairs=args.max_pairs)
+    cert = logmod.is_free(arr, mult)
     if args.json:
         data = {"free": cert is not None}
         if cert:
@@ -208,7 +210,7 @@ def _cmd_free(args, arr, mult):
 
 
 def _cmd_tame(args, arr, mult):
-    tame, table = logmod.is_tame(arr, mult, max_pairs=args.max_pairs)
+    tame, table = logmod.is_tame(arr, mult)
     if args.json:
         print(_dump({"tame": tame,
                      "pd_omega": {str(p): v for p, v in table.items()}}))
@@ -223,10 +225,7 @@ def _cmd_st(args, arr, mult):
     d = args.order - 1
     if d < 1:
         raise ParseError("--order must be at least 2")
-    if d == 1:
-        st = stpoly.st_polynomial(arr, mult, max_pairs=args.max_pairs)
-    else:
-        st = stpoly.st_polynomial_order(arr, mult, d, max_pairs=args.max_pairs)
+    st = stpoly.st_polynomial_order(arr, mult, d)
     if args.json:
         print(_dump({"order": args.order, "st": st.to_json()}))
     else:
@@ -235,7 +234,7 @@ def _cmd_st(args, arr, mult):
 
 
 def _cmd_st_bipoly(args, arr, mult):
-    st = stpoly.st_bipoly(arr, mult, max_pairs=args.max_pairs)
+    st = stpoly.st_bipoly(arr, mult)
     if args.json:
         print(_dump(st.to_json()))
     else:
@@ -254,16 +253,10 @@ def _cmd_st_algebra(args, arr, mult):
         eta = parse_eta(args.eta, arr.ell)
         if eta.is_zero() or not eta.is_homogeneous():
             raise ParseError("eta must be nonzero and homogeneous")
-        hf, colength = stpoly.st_algebra_hilbert(arr, mult, eta,
-                                                 max_pairs=args.max_pairs)
-        result = stpoly.STIdealResult(
-            eta, stpoly.st_ideal_generators(arr, mult, eta,
-                                            max_pairs=args.max_pairs),
-            hf, colength, False, 0)
+        result = stpoly.st_algebra_hilbert(arr, mult, eta)
     else:
         result = stpoly.sample_generic_eta(
-            arr, mult, d, seed=args.seed, max_attempts=args.max_eta_attempts,
-            max_pairs=args.max_pairs)
+            arr, mult, d, seed=args.seed, max_attempts=args.max_eta_attempts)
     if args.json:
         print(_dump(result.to_json()))
     else:
@@ -286,8 +279,7 @@ def _cmd_essentialize(args, arr, mult):
 
 def _cmd_verify(args):
     paths = args.input if args.suite == "file" else ()
-    report = verify.run_suite(args.suite, seed=args.seed, paths=paths,
-                              max_pairs=args.max_pairs)
+    report = verify.run_suite(args.suite, seed=args.seed, paths=paths)
     text = verify.render_report(report)
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:
@@ -384,13 +376,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.max_pairs is None:
-            args.max_pairs = _env_int("STLOG_MAX_PAIRS", DEFAULT_MAX_PAIRS)
+            args.max_pairs = _env_int("STLOG_MAX_PAIRS",
+                                      session.DEFAULT_MAX_PAIRS)
         if getattr(args, "max_eta_attempts", -1) is None:
             args.max_eta_attempts = _env_int("STLOG_MAX_ETA_ATTEMPTS", 16)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        arr, mult = _load_arrangement(args.input)
-        return _DISPATCH[args.command](args, arr, mult)
+        with session.request(args.max_pairs):
+            if args.command == "verify":
+                return _cmd_verify(args)
+            arr, mult = _load_arrangement(args.input)
+            return _DISPATCH[args.command](args, arr, mult)
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -45,12 +45,10 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, le, sub
 
-from .exceptions import (CertificateError, ResourceBudgetError,
-                         StructuralError)
+from . import session
+from .exceptions import CertificateError, StructuralError
 from .ratpoly import (LaurentPolynomial, Polynomial, RationalSeries,
                       mono_deg, mono_mul, mono_zero)
-
-DEFAULT_MAX_PAIRS = 500_000
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +290,14 @@ class GroebnerEngine:
     primitive integer vector gen_scales[i] * g_i.  With track=True every
     basis row carries its representation in terms of the stored
     generators, and S-pairs that reduce to zero are collected as
-    syzygies of them.
+    syzygies of them.  Every S-pair is charged to the session that is
+    current when the engine is built.
     """
 
-    def __init__(self, module: FreeModule, track: bool = False,
-                 max_pairs: int = DEFAULT_MAX_PAIRS):
+    def __init__(self, module: FreeModule, track: bool = False):
         self.module = module
         self.track = track
-        self.max_pairs = max_pairs
+        self.session = session.current()
         self.rows: list[_Row] = []
         self._lead_index: dict[int, list] = {}  # comp -> [(lead rm, row_idx)]
         self._pairs: list = []                  # heap of (deg, i, j)
@@ -352,9 +350,7 @@ class GroebnerEngine:
         pairs = self._pairs
         while pairs and (max_degree is None or pairs[0][0] <= max_degree):
             self._pairs_done += 1
-            if self._pairs_done > self.max_pairs:
-                raise ResourceBudgetError(
-                    f"S-pair budget exceeded ({self.max_pairs})")
+            self.session.charge_pair()
             _, i, j = heapq.heappop(pairs)
             ri, rj = self.rows[i], self.rows[j]
             lcm_rm = tuple(map(max, ri.lead[2], rj.lead[2]))
@@ -438,15 +434,14 @@ def _monic_unique(vecs, module: FreeModule):
 # ---------------------------------------------------------------------------
 # public operations
 
-def groebner_basis(gens, module: FreeModule | None = None,
-                   max_pairs: int = DEFAULT_MAX_PAIRS):
+def groebner_basis(gens, module: FreeModule | None = None):
     """Reduced Groebner basis of the submodule generated by gens."""
     gens = list(gens)
     if module is None:
         if not gens:
             raise StructuralError("empty generator list without explicit module")
         module = gens[0].module
-    eng = GroebnerEngine(module, track=False, max_pairs=max_pairs)
+    eng = GroebnerEngine(module, track=False)
     for g in gens:
         if g.module != module:
             raise StructuralError("generators live in different free modules")
@@ -466,8 +461,7 @@ def normal_form(v: ModuleElement, gb) -> ModuleElement:
     return ModuleElement(v.module, _decode(out, scale * k))
 
 
-def syzygy_module(gens, module: FreeModule | None = None,
-                  max_pairs: int = DEFAULT_MAX_PAIRS):
+def syzygy_module(gens, module: FreeModule | None = None):
     """Generators of the first syzygy module of the given generator list.
 
     Returns (syzygies, F) where F is the free module on the generators
@@ -479,11 +473,11 @@ def syzygy_module(gens, module: FreeModule | None = None,
             raise StructuralError("empty generator list without explicit module")
         module = gens[0].module
     F = FreeModule(module.nvars, [0 if g.is_zero() else g.degree() for g in gens])
-    return kernel_of_map(gens, F, module, max_pairs=max_pairs), F
+    return kernel_of_map(gens, F, module), F
 
 
 def kernel_of_map(columns, source: FreeModule, target: FreeModule,
-                  relations=None, max_pairs: int = DEFAULT_MAX_PAIRS):
+                  relations=None):
     """Kernel of the graded map source -> target/(relations).
 
     columns[j] is the image of the j-th basis vector of source, as a
@@ -495,7 +489,7 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
     columns = list(columns)
     if len(columns) != source.rank:
         raise StructuralError("column count does not match source rank")
-    eng = GroebnerEngine(target, track=True, max_pairs=max_pairs)
+    eng = GroebnerEngine(target, track=True)
     for j, col in enumerate(columns):
         eng.add_generator(col.vec, source.shifts[j])
     for (r, q) in (relations or []):
@@ -506,7 +500,7 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
     return _monic_unique(eng.original_syzygies(source.rank), source)
 
 
-def _minimal_level(gens, module: FreeModule, max_pairs: int):
+def _minimal_level(gens, module: FreeModule):
     """One module of a minimal resolution, built by one tracked engine.
 
     The nonzero candidates are taken by increasing (degree, canonical
@@ -524,7 +518,7 @@ def _minimal_level(gens, module: FreeModule, max_pairs: int):
     """
     ordered = sorted((g for g in gens if not g.is_zero()),
                      key=lambda g: (g.degree(), g.canonical_key()))
-    eng = GroebnerEngine(module, track=True, max_pairs=max_pairs)
+    eng = GroebnerEngine(module, track=True)
     kept = []
     for g in ordered:
         d = g.degree()
@@ -537,8 +531,7 @@ def _minimal_level(gens, module: FreeModule, max_pairs: int):
     return kept, F, _monic_unique(eng.original_syzygies(), F)
 
 
-def minimalize_generators(gens, module: FreeModule | None = None,
-                          max_pairs: int = DEFAULT_MAX_PAIRS):
+def minimalize_generators(gens, module: FreeModule | None = None):
     """Minimal homogeneous generating subset (graded Nakayama).
 
     Processes candidates by increasing degree and keeps those not in the
@@ -549,16 +542,16 @@ def minimalize_generators(gens, module: FreeModule | None = None,
         if not gens:
             return []
         module = gens[0].module
-    return _minimal_level(gens, module, max_pairs)[0]
+    return _minimal_level(gens, module)[0]
 
 
-def lift(v: ModuleElement, gens, max_pairs: int = DEFAULT_MAX_PAIRS):
+def lift(v: ModuleElement, gens):
     """Express v as sum q_i * gens[i]; returns [Polynomial] or None.
 
     None means v is not in the submodule generated by gens.
     """
     module = v.module
-    eng = GroebnerEngine(module, track=True, max_pairs=max_pairs)
+    eng = GroebnerEngine(module, track=True)
     for g in gens:
         eng.add_generator(g.vec, 0 if g.is_zero() else g.degree())
     eng.complete()
@@ -668,8 +661,8 @@ class Resolution:
                     raise CertificateError("resolution differentials do not compose to zero")
 
 
-def minimal_free_resolution(gens, module: FreeModule | None = None,
-                            max_pairs: int = DEFAULT_MAX_PAIRS) -> Resolution:
+def minimal_free_resolution(gens,
+                            module: FreeModule | None = None) -> Resolution:
     """Minimal graded free resolution of the submodule generated by gens.
 
     Each free module comes from one `_minimal_level` pass over the
@@ -683,7 +676,7 @@ def minimal_free_resolution(gens, module: FreeModule | None = None,
         if not gens:
             raise StructuralError("empty generator list without explicit module")
         module = gens[0].module
-    gens0, F, syz = _minimal_level(gens, module, max_pairs)
+    gens0, F, syz = _minimal_level(gens, module)
     modules = [F]
     diffs = []
     while syz:
@@ -693,7 +686,7 @@ def minimal_free_resolution(gens, module: FreeModule | None = None,
             raise CertificateError(
                 f"resolution longer than the Hilbert syzygy bound "
                 f"{module.nvars - 1}")
-        cols, F, syz = _minimal_level(syz, F, max_pairs)
+        cols, F, syz = _minimal_level(syz, F)
         diffs.append(cols)
         modules.append(F)
     return Resolution(module.nvars, modules, diffs, gens0)
@@ -719,8 +712,7 @@ def free_module_hilbert(nvars: int, shifts) -> RationalSeries:
 # ---------------------------------------------------------------------------
 # Artinian quotients
 
-def quotient_colength(ideal_gens, nvars: int | None = None,
-                      max_pairs: int = DEFAULT_MAX_PAIRS):
+def quotient_colength(ideal_gens, nvars: int | None = None):
     """Colength and Hilbert function of S/I for a homogeneous ideal I.
 
     Returns (colength, {degree: dimension}) when the quotient is finite
@@ -744,7 +736,7 @@ def quotient_colength(ideal_gens, nvars: int | None = None,
         if not ideal_gens:
             return None
         nvars = ideal_gens[0].nvars
-    eng = GroebnerEngine(FreeModule(nvars, [0]), max_pairs=max_pairs)
+    eng = GroebnerEngine(FreeModule(nvars, [0]))
     for g in ideal_gens:
         if not g.is_homogeneous():
             raise StructuralError("ideal generator is not homogeneous")

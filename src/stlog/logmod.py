@@ -26,10 +26,11 @@ from typing import Optional
 
 from .arrangement import (Arrangement, Multiplicity, defining_polynomial,
                           is_essential, render)
+from . import session
 from .exceptions import CertificateError, StructuralError
-from .groebner import (DEFAULT_MAX_PAIRS, BettiTable, FreeModule,
-                       ModuleElement, Resolution, free_module_hilbert,
-                       hilbert_series, kernel_of_map, minimal_free_resolution)
+from .groebner import (BettiTable, FreeModule, ModuleElement, Resolution,
+                       free_module_hilbert, hilbert_series, kernel_of_map,
+                       minimal_free_resolution)
 from .ratpoly import (IntegerDivisor, Polynomial, RationalSeries,
                       integer_terms)
 
@@ -70,17 +71,6 @@ class SaitoCertificate:
     scalar: Fraction        # det(theta_i(x_j)) = scalar * Q(A,m)
 
 
-_CACHE: dict = {}
-
-
-def _cache_key(arr: Arrangement, mult: Multiplicity, p: int):
-    return (render(arr, mult), p)
-
-
-def clear_cache():
-    _CACHE.clear()
-
-
 def _subset_index(ell: int, p: int):
     return [tuple(c) for c in itertools.combinations(range(ell), p)]
 
@@ -107,15 +97,20 @@ def _column_entries(arr: Arrangement, p: int, cols, rows):
     return entries
 
 
-def derivation_module(arr: Arrangement, mult: Multiplicity, p: int,
-                      max_pairs: int = DEFAULT_MAX_PAIRS) -> LogModule:
-    """D^p(A,m) with minimal generators, resolution, Hilbert series."""
+def derivation_module(arr: Arrangement, mult: Multiplicity,
+                      p: int) -> LogModule:
+    """D^p(A,m) with minimal generators, resolution, Hilbert series.
+
+    Computed once per request: a repeated call inside one
+    `session.request()` returns the same object and costs no S-pairs.
+    """
     ell = arr.ell
     if not 0 <= p <= ell:
         raise StructuralError(f"order p={p} out of range 0..{ell}")
-    key = _cache_key(arr, mult, p)
-    if key in _CACHE:
-        return _CACHE[key]
+    modules = session.current().modules
+    key = (render(arr, mult), p)
+    if key in modules:
+        return modules[key]
 
     nvars = ell
     if p == 0:
@@ -124,7 +119,7 @@ def derivation_module(arr: Arrangement, mult: Multiplicity, p: int,
         res = Resolution(nvars, [FreeModule(nvars, [0])], [], gens)
         mod = LogModule("D", 0, arr, mult, gens, res, res.betti(),
                         free_module_hilbert(nvars, [0]), 0, 0)
-        _CACHE[key] = mod
+        modules[key] = mod
         return mod
 
     cols = _subset_index(ell, p)
@@ -143,8 +138,8 @@ def derivation_module(arr: Arrangement, mult: Multiplicity, p: int,
               for hi, h in enumerate(arr.hyperplanes)]
     relations = [(r, powers[hi]) for r, (hi, _) in enumerate(rows)]
 
-    raw = kernel_of_map(columns, source, target, relations, max_pairs=max_pairs)
-    res = minimal_free_resolution(raw, source, max_pairs=max_pairs)
+    raw = kernel_of_map(columns, source, target, relations)
+    res = minimal_free_resolution(raw, source)
     res.audit()
     gens = res.generators
     betti = res.betti()
@@ -163,7 +158,7 @@ def derivation_module(arr: Arrangement, mult: Multiplicity, p: int,
                 f"regularity bound violated: reg D^{p} = {reg} > {n - ell + p}")
 
     mod = LogModule("D", p, arr, mult, gens, res, betti, hilb, reg, pd)
-    _CACHE[key] = mod
+    modules[key] = mod
     return mod
 
 
@@ -208,13 +203,12 @@ def _audit_membership(arr: Arrangement, mult: Multiplicity, p: int, gens):
                         f"hyperplane {list(h.coeffs)}")
 
 
-def omega_module(arr: Arrangement, mult: Multiplicity, p: int,
-                 max_pairs: int = DEFAULT_MAX_PAIRS) -> LogModule:
+def omega_module(arr: Arrangement, mult: Multiplicity, p: int) -> LogModule:
     """Omega^p(A,m) as the |m|-shift of D^{l-p}(A,m)."""
     ell = arr.ell
     if not 0 <= p <= ell:
         raise StructuralError(f"order p={p} out of range 0..{ell}")
-    dual = derivation_module(arr, mult, ell - p, max_pairs=max_pairs)
+    dual = derivation_module(arr, mult, ell - p)
     n = mult.total
     reg = None if dual.reg is None else dual.reg - n
     mod = LogModule("Omega", p, arr, mult, dual.generators, dual.resolution,
@@ -251,15 +245,15 @@ def poly_det(rows) -> Polynomial:
     return result
 
 
-def is_free(arr: Arrangement, mult: Multiplicity,
-            max_pairs: int = DEFAULT_MAX_PAIRS) -> Optional[SaitoCertificate]:
+def is_free(arr: Arrangement,
+            mult: Multiplicity) -> Optional[SaitoCertificate]:
     """Freeness via pd D^1 = 0, cross-validated by Saito's determinant.
 
     Returns the exponents (with the determinant scalar) when free, None
     otherwise.  A failing certificate on a pd-0 module is an internal
     inconsistency and raises.
     """
-    d1 = derivation_module(arr, mult, 1, max_pairs=max_pairs)
+    d1 = derivation_module(arr, mult, 1)
     if d1.pd != 0:
         return None
     gens = d1.generators
@@ -281,26 +275,25 @@ def is_free(arr: Arrangement, mult: Multiplicity,
     return SaitoCertificate(exponents=exps, scalar=scalar)
 
 
-def is_tame(arr: Arrangement, mult: Multiplicity,
-            max_pairs: int = DEFAULT_MAX_PAIRS):
+def is_tame(arr: Arrangement, mult: Multiplicity):
     """Tameness: pd Omega^p <= p for all p.  Returns (bool, pd table)."""
     ell = arr.ell
     table = {}
     for p in range(ell + 1):
-        table[p] = derivation_module(arr, mult, ell - p, max_pairs=max_pairs).pd
+        table[p] = derivation_module(arr, mult, ell - p).pd
     return all(table[p] <= p for p in table), table
 
 
-def wedge_power_free(arr: Arrangement, mult: Multiplicity, p: int,
-                     max_pairs: int = DEFAULT_MAX_PAIRS) -> LogModule:
+def wedge_power_free(arr: Arrangement, mult: Multiplicity,
+                     p: int) -> LogModule:
     """D^p of a certified free (A,m), built as p-fold wedges of the basis."""
-    cert = is_free(arr, mult, max_pairs=max_pairs)
+    cert = is_free(arr, mult)
     if cert is None:
         raise StructuralError("wedge_power_free requires a free multiarrangement")
     ell = arr.ell
     if not 0 <= p <= ell:
         raise StructuralError(f"order p={p} out of range 0..{ell}")
-    basis = derivation_module(arr, mult, 1, max_pairs=max_pairs).generators
+    basis = derivation_module(arr, mult, 1).generators
     cols = _subset_index(ell, p)
     source = FreeModule(ell, [0] * len(cols))
     gens = []

@@ -44,11 +44,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a: Mono, b: Mono) -> bool:
-    """True if x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def mono_deg(a: Mono) -> int:
     return sum(a)
 
@@ -424,14 +419,6 @@ class LaurentPolynomial:
     @classmethod
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, e: int, c=1) -> "LaurentPolynomial":
-        return cls({e: c})
-
-    @classmethod
-    def x(cls) -> "LaurentPolynomial":
-        return cls({1: 1})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -26,7 +26,7 @@ from .arrangement import Arrangement, Multiplicity, is_essential
 from .exceptions import (CertificateError, GenericityNotFoundError,
                          NonDivisibleError, NonGenericEtaError,
                          StructuralError)
-from .groebner import (DEFAULT_MAX_PAIRS, lift, quotient_colength)
+from .groebner import lift, quotient_colength
 from .logmod import derivation_module
 from .ratpoly import (ONE_MINUS_X, BiPolynomial, LaurentPolynomial,
                       Polynomial, exact_divide)
@@ -83,8 +83,7 @@ class STIdealResult:
         }
 
 
-def st_bipoly(arr: Arrangement, mult: Multiplicity,
-              max_pairs: int = DEFAULT_MAX_PAIRS) -> STBiPoly:
+def st_bipoly(arr: Arrangement, mult: Multiplicity) -> STBiPoly:
     """Psi(A,m;x,t), assembled from the Hilbert series of all D^p."""
     if not is_essential(arr):
         raise StructuralError("st_bipoly expects an essential arrangement")
@@ -93,7 +92,7 @@ def st_bipoly(arr: Arrangement, mult: Multiplicity,
     numerators = {}
     acc = BiPolynomial.zero()
     for p in range(ell + 1):
-        hilb = derivation_module(arr, mult, p, max_pairs=max_pairs).hilb
+        hilb = derivation_module(arr, mult, p).hilb
         f_p = hilb.numerator_for_power(ell)
         numerators[p] = f_p
         acc = acc + BiPolynomial.from_laurent(f_p) * _T_FACTOR ** p
@@ -129,35 +128,32 @@ def st_bipoly(arr: Arrangement, mult: Multiplicity,
     return STBiPoly(ell, n, psi, numerators, a, b)
 
 
-def st_polynomial(arr: Arrangement, mult: Multiplicity,
-                  max_pairs: int = DEFAULT_MAX_PAIRS) -> LaurentPolynomial:
+def st_polynomial(arr: Arrangement, mult: Multiplicity) -> LaurentPolynomial:
     """ST(A,m;x) = Psi(A,m;x,-1)."""
-    st = st_bipoly(arr, mult, max_pairs=max_pairs)
-    return st.psi.substitute_t(LaurentPolynomial({0: -1}))
+    return st_polynomial_order(arr, mult, 1)
 
 
-def st_polynomial_order(arr: Arrangement, mult: Multiplicity, d: int,
-                        max_pairs: int = DEFAULT_MAX_PAIRS) -> LaurentPolynomial:
+def st_polynomial_order(arr: Arrangement, mult: Multiplicity,
+                        d: int) -> LaurentPolynomial:
     """ST_{d+1}(A,m;x): substitute t -> -(1+x+...+x^{d-1}); order 2 is ST."""
     if d < 1:
         raise StructuralError("st_polynomial_order requires d >= 1")
-    st = st_bipoly(arr, mult, max_pairs=max_pairs)
+    st = st_bipoly(arr, mult)
     sub = LaurentPolynomial({e: -1 for e in range(d)})
     return st.psi.substitute_t(sub)
 
 
-def char_polynomial_multi(arr: Arrangement, mult: Multiplicity,
-                          max_pairs: int = DEFAULT_MAX_PAIRS) -> LaurentPolynomial:
+def char_polynomial_multi(arr: Arrangement,
+                          mult: Multiplicity) -> LaurentPolynomial:
     """chi(A,m;t) = (-1)^l Psi(A,m;1,t), as a polynomial in t."""
-    st = st_bipoly(arr, mult, max_pairs=max_pairs)
+    st = st_bipoly(arr, mult)
     return st.psi.evaluate_x(1).scale((-1) ** arr.ell)
 
 
-def reduced_st(arr: Arrangement,
-               max_pairs: int = DEFAULT_MAX_PAIRS) -> LaurentPolynomial:
+def reduced_st(arr: Arrangement) -> LaurentPolynomial:
     """ST+(A;x) with ST(A;x) = (1+x) ST+(A;x); simple arrangements only."""
     mult = Multiplicity.simple(arr.n)
-    st = st_polynomial(arr, mult, max_pairs=max_pairs)
+    st = st_polynomial(arr, mult)
     try:
         return exact_divide(st, LaurentPolynomial({0: 1, 1: 1}))
     except NonDivisibleError as exc:
@@ -168,13 +164,12 @@ def reduced_st(arr: Arrangement,
 # ---------------------------------------------------------------------------
 # Solomon-Terao ideal and algebra
 
-def st_ideal_generators(arr: Arrangement, mult: Multiplicity, eta: Polynomial,
-                        max_pairs: int = DEFAULT_MAX_PAIRS):
+def st_ideal_generators(arr: Arrangement, mult: Multiplicity, eta: Polynomial):
     """Generators theta_i(eta) of a(A,m,eta), over minimal generators of D."""
     if eta.nvars != arr.ell:
         raise StructuralError("eta has the wrong number of variables")
     grads = [eta.partial(i) for i in range(arr.ell)]
-    d1 = derivation_module(arr, mult, 1, max_pairs=max_pairs)
+    d1 = derivation_module(arr, mult, 1)
     gens = []
     for theta in d1.generators:
         g = Polynomial.zero(arr.ell)
@@ -184,19 +179,20 @@ def st_ideal_generators(arr: Arrangement, mult: Multiplicity, eta: Polynomial,
     return gens
 
 
-def st_algebra_hilbert(arr: Arrangement, mult: Multiplicity, eta: Polynomial,
-                       max_pairs: int = DEFAULT_MAX_PAIRS):
-    """Hilbert function and colength of S/a(A,m,eta).
+def st_algebra_hilbert(arr: Arrangement, mult: Multiplicity,
+                       eta: Polynomial) -> STIdealResult:
+    """Ideal generators, Hilbert function and colength of S/a(A,m,eta)
+    for a given eta (not certified generic, no sampling attempts).
 
     Raises NonGenericEtaError when the quotient is infinite dimensional.
     """
-    gens = st_ideal_generators(arr, mult, eta, max_pairs=max_pairs)
-    result = quotient_colength(gens, arr.ell, max_pairs=max_pairs)
+    gens = st_ideal_generators(arr, mult, eta)
+    result = quotient_colength(gens, arr.ell)
     if result is None:
         raise NonGenericEtaError(
             "S/a(A,m,eta) is not Artinian: eta is not generic")
     colength, hf = result
-    return hf, colength
+    return STIdealResult(eta, gens, hf, colength, False, 0)
 
 
 def _random_homogeneous(rng: random.Random, nvars: int, degree: int,
@@ -213,8 +209,7 @@ def _random_homogeneous(rng: random.Random, nvars: int, degree: int,
 
 
 def sample_generic_eta(arr: Arrangement, mult: Multiplicity, d: int,
-                       seed: int = 0, max_attempts: int = 16,
-                       max_pairs: int = DEFAULT_MAX_PAIRS) -> STIdealResult:
+                       seed: int = 0, max_attempts: int = 16) -> STIdealResult:
     """Deterministic search for a generic eta of degree d+1.
 
     The first attempt is always eta = sum x_i^{d+1}; later attempts draw
@@ -239,8 +234,8 @@ def sample_generic_eta(arr: Arrangement, mult: Multiplicity, d: int,
         attempts += 1
         if eta.is_zero():
             continue
-        gens = st_ideal_generators(arr, mult, eta, max_pairs=max_pairs)
-        result = quotient_colength(gens, ell, max_pairs=max_pairs)
+        gens = st_ideal_generators(arr, mult, eta)
+        result = quotient_colength(gens, ell)
         if result is not None:
             colength, hf = result
             return STIdealResult(eta, gens, hf, colength, True, attempts)
@@ -293,8 +288,8 @@ def _contract(theta, p: int, ell: int, grads, target_module):
     return target_module.element([out[ci] for ci in range(len(cols_q))])
 
 
-def st_complex(arr: Arrangement, mult: Multiplicity, eta: Polynomial,
-               max_pairs: int = DEFAULT_MAX_PAIRS) -> STComplex:
+def st_complex(arr: Arrangement, mult: Multiplicity,
+               eta: Polynomial) -> STComplex:
     """Boundary matrices of the Solomon-Terao complex of (A,m,eta).
 
     Each contracted generator is lifted over the target's minimal
@@ -305,7 +300,7 @@ def st_complex(arr: Arrangement, mult: Multiplicity, eta: Polynomial,
     if eta.nvars != ell:
         raise StructuralError("eta has the wrong number of variables")
     grads = [eta.partial(i) for i in range(ell)]
-    modules = {p: derivation_module(arr, mult, p, max_pairs=max_pairs)
+    modules = {p: derivation_module(arr, mult, p)
                for p in range(ell + 1)}
     matrices = {}
     images = {}     # p -> contracted generators, as elements of rank C(l,p-1)
@@ -317,7 +312,7 @@ def st_complex(arr: Arrangement, mult: Multiplicity, eta: Polynomial,
         for theta in modules[p].generators:
             img = _contract(theta, p, ell, grads, ambient)
             imgs.append(img)
-            coeffs = lift(img, modules[p - 1].generators, max_pairs=max_pairs)
+            coeffs = lift(img, modules[p - 1].generators)
             if coeffs is None:
                 raise CertificateError(
                     f"contraction of a D^{p} generator does not lie in D^{p - 1}")

@@ -17,7 +17,7 @@ from . import fixtures, lattice, logmod, stpoly
 from .arrangement import (Arrangement, Hyperplane, Multiplicity, is_essential,
                           is_irreducible, parse)
 from .exceptions import StlogError
-from .groebner import DEFAULT_MAX_PAIRS, poly_dimension
+from .groebner import poly_dimension
 from .ratpoly import LaurentPolynomial
 
 
@@ -44,15 +44,15 @@ def _poly_str(p: LaurentPolynomial, var: str = "x") -> str:
     return p.render(var)
 
 
-def check_chi_specialization(arr: Arrangement, subject: str = "",
-                             max_pairs: int = DEFAULT_MAX_PAIRS) -> CheckReport:
+def check_chi_specialization(arr: Arrangement,
+                             subject: str = "") -> CheckReport:
     """(-1)^l Psi(A;1,t) equals the lattice characteristic polynomial."""
     name = "chi-specialization"
     if not is_essential(arr):
         return CheckReport(name, subject, "not-applicable",
                            witness={"reason": "arrangement not essential"})
     mult = Multiplicity.simple(arr.n)
-    via_st = stpoly.char_polynomial_multi(arr, mult, max_pairs=max_pairs)
+    via_st = stpoly.char_polynomial_multi(arr, mult)
     via_lattice = lattice.characteristic_polynomial(arr)
     verdict = "pass" if via_st == via_lattice else "fail"
     return CheckReport(name, subject, verdict,
@@ -61,16 +61,15 @@ def check_chi_specialization(arr: Arrangement, subject: str = "",
 
 
 def check_monic_degree(arr: Arrangement, mult: Multiplicity, d: int,
-                       subject: str = "",
-                       max_pairs: int = DEFAULT_MAX_PAIRS) -> CheckReport:
+                       subject: str = "") -> CheckReport:
     """ST_{d+1} is monic of degree |m| + l(d-1)."""
     name = f"monic-degree[d={d}]"
     if not is_essential(arr):
         return CheckReport(name, subject, "not-applicable",
                            witness={"reason": "arrangement not essential"})
-    st = stpoly.st_polynomial_order(arr, mult, d, max_pairs=max_pairs)
+    st = stpoly.st_polynomial_order(arr, mult, d)
     expected_deg = mult.total + arr.ell * (d - 1)
-    tame, pd_table = logmod.is_tame(arr, mult, max_pairs=max_pairs)
+    tame, pd_table = logmod.is_tame(arr, mult)
     ok = st.degree() == expected_deg and st.coefficient(expected_deg) == 1
     if not ok:
         verdict = "fail" if tame else "not-applicable"
@@ -83,17 +82,16 @@ def check_monic_degree(arr: Arrangement, mult: Multiplicity, d: int,
 
 
 def check_second_coefficient(arr: Arrangement, mult: Multiplicity,
-                             subject: str = "",
-                             max_pairs: int = DEFAULT_MAX_PAIRS) -> CheckReport:
+                             subject: str = "") -> CheckReport:
     """Coefficient of x^{|m|-1} in ST equals l + (number of degree-|m|
     relations of D^{l-1})."""
     name = "second-coefficient"
     n = mult.total
-    st = stpoly.st_polynomial(arr, mult, max_pairs=max_pairs)
+    st = stpoly.st_polynomial(arr, mult)
     coeff = st.coefficient(n - 1)
-    top = logmod.derivation_module(arr, mult, arr.ell - 1, max_pairs=max_pairs)
+    top = logmod.derivation_module(arr, mult, arr.ell - 1)
     a = top.betti.counts.get((1, n), 0)
-    tame, _ = logmod.is_tame(arr, mult, max_pairs=max_pairs)
+    tame, _ = logmod.is_tame(arr, mult)
     irreducible = is_irreducible(arr, mult)
     applicable = tame and irreducible and is_essential(arr)
     ok = coeff == arr.ell + a
@@ -109,8 +107,7 @@ def check_second_coefficient(arr: Arrangement, mult: Multiplicity,
 
 
 def check_regularity_bounds(arr: Arrangement, mult: Multiplicity,
-                            subject: str = "",
-                            max_pairs: int = DEFAULT_MAX_PAIRS) -> CheckReport:
+                            subject: str = "") -> CheckReport:
     """reg D^p <= |m| - l + p and reg Omega^p <= -p for all p."""
     name = "regularity-bounds"
     if not is_essential(arr):
@@ -120,8 +117,8 @@ def check_regularity_bounds(arr: Arrangement, mult: Multiplicity,
     rows = []
     ok = True
     for p in range(ell + 1):
-        d = logmod.derivation_module(arr, mult, p, max_pairs=max_pairs)
-        w = logmod.omega_module(arr, mult, p, max_pairs=max_pairs)
+        d = logmod.derivation_module(arr, mult, p)
+        w = logmod.omega_module(arr, mult, p)
         d_ok = d.reg is None or d.reg <= n - ell + p
         w_ok = w.reg is None or w.reg <= -p
         ok = ok and d_ok and w_ok
@@ -133,30 +130,29 @@ def check_regularity_bounds(arr: Arrangement, mult: Multiplicity,
 
 
 def check_free_formulas(arr: Arrangement, mult: Multiplicity,
-                        subject: str = "",
-                        max_pairs: int = DEFAULT_MAX_PAIRS) -> CheckReport:
+                        subject: str = "") -> CheckReport:
     """For free (A,m): Psi, ST and chi all match the exponent products."""
     name = "free-formulas"
     if not is_essential(arr):
         return CheckReport(name, subject, "not-applicable",
                            witness={"reason": "arrangement not essential"})
-    cert = logmod.is_free(arr, mult, max_pairs=max_pairs)
+    cert = logmod.is_free(arr, mult)
     if cert is None:
         return CheckReport(name, subject, "not-applicable",
                            witness={"reason": "not free"})
     exps = cert.exponents
-    st = stpoly.st_bipoly(arr, mult, max_pairs=max_pairs)
+    st = stpoly.st_bipoly(arr, mult)
     from .ratpoly import BiPolynomial
     prod = BiPolynomial.one()
     for d in exps:
         factor = {(e, 0): 1 for e in range(d)}
         factor[(d, 1)] = -1
         prod = prod * BiPolynomial(factor)
-    st_poly = stpoly.st_polynomial(arr, mult, max_pairs=max_pairs)
+    st_poly = stpoly.st_polynomial(arr, mult)
     st_prod = LaurentPolynomial.one()
     for d in exps:
         st_prod = st_prod * LaurentPolynomial({e: 1 for e in range(d + 1)})
-    chi = stpoly.char_polynomial_multi(arr, mult, max_pairs=max_pairs)
+    chi = stpoly.char_polynomial_multi(arr, mult)
     chi_prod = LaurentPolynomial.one()
     for d in exps:
         chi_prod = chi_prod * LaurentPolynomial({1: 1, 0: -d})
@@ -168,15 +164,14 @@ def check_free_formulas(arr: Arrangement, mult: Multiplicity,
 
 
 def check_low_degree_coefficients(arr: Arrangement, mult: Multiplicity, d: int,
-                                  subject: str = "",
-                                  max_pairs: int = DEFAULT_MAX_PAIRS) -> CheckReport:
+                                  subject: str = "") -> CheckReport:
     """Coefficient of x^i in ST_{d+1} is dim S_i for i <= d, and the
     x^{d+1} coefficient is dim S_{d+1} - dim D(A,m)_1."""
     name = f"low-degree-coefficients[d={d}]"
-    tame, _ = logmod.is_tame(arr, mult, max_pairs=max_pairs)
+    tame, _ = logmod.is_tame(arr, mult)
     irreducible = is_essential(arr) and is_irreducible(arr, mult)
-    st = stpoly.st_polynomial_order(arr, mult, d, max_pairs=max_pairs)
-    d1 = logmod.derivation_module(arr, mult, 1, max_pairs=max_pairs)
+    st = stpoly.st_polynomial_order(arr, mult, d)
+    d1 = logmod.derivation_module(arr, mult, 1)
     dim_d1_degree1 = sum(1 for g in d1.generators if g.degree() == 1)
     ell = arr.ell
     expected = [poly_dimension(ell, i) for i in range(d + 1)]
@@ -197,8 +192,7 @@ def check_low_degree_coefficients(arr: Arrangement, mult: Multiplicity, d: int,
 
 def check_st_algebra_equality(arr: Arrangement, mult: Multiplicity, d: int,
                               seed: int = 0, subject: str = "",
-                              max_attempts: int = 16,
-                              max_pairs: int = DEFAULT_MAX_PAIRS) -> CheckReport:
+                              max_attempts: int = 16) -> CheckReport:
     """For tame (A,m): Hilbert function of S/a equals the ST_{d+1}
     coefficients; for non-tame input both sides are reported."""
     name = f"st-algebra-equality[d={d}]"
@@ -206,16 +200,15 @@ def check_st_algebra_equality(arr: Arrangement, mult: Multiplicity, d: int,
         return CheckReport(name, subject, "not-applicable",
                            witness={"reason": "arrangement not essential"})
     result = stpoly.sample_generic_eta(arr, mult, d, seed=seed,
-                                       max_attempts=max_attempts,
-                                       max_pairs=max_pairs)
-    st = stpoly.st_polynomial_order(arr, mult, d, max_pairs=max_pairs)
+                                       max_attempts=max_attempts)
+    st = stpoly.st_polynomial_order(arr, mult, d)
     deg = st.degree()
     st_coeffs = [st.coefficient(i) for i in range(deg + 1)]
     top = max(result.hilbert_function) if result.hilbert_function else -1
     hf = [result.hilbert_function.get(i, 0) for i in range(max(deg, top) + 1)]
     st_list = st_coeffs + [0] * (len(hf) - len(st_coeffs))
     equal = [str(c) for c in st_list] == [str(c) for c in hf]
-    tame, _ = logmod.is_tame(arr, mult, max_pairs=max_pairs)
+    tame, _ = logmod.is_tame(arr, mult)
     if tame:
         verdict = "pass" if equal else "fail"
     else:
@@ -231,8 +224,7 @@ def check_st_algebra_equality(arr: Arrangement, mult: Multiplicity, d: int,
 
 def check_product_rule(arr1: Arrangement, mult1: Multiplicity,
                        arr2: Arrangement, mult2: Multiplicity,
-                       subject: str = "",
-                       max_pairs: int = DEFAULT_MAX_PAIRS) -> CheckReport:
+                       subject: str = "") -> CheckReport:
     """Hilb(D^p(A1 x A2)) = sum_{i+j=p} Hilb(D^i(A1)) * Hilb(D^j(A2))."""
     name = "product-rule"
     l1, l2 = arr1.ell, arr2.ell
@@ -248,15 +240,12 @@ def check_product_rule(arr1: Arrangement, mult1: Multiplicity,
     pairs = sorted(zip(hps, ms))
     prod_arr = Arrangement(ell, [h for h, _ in pairs])
     prod_mult = Multiplicity([m for _, m in pairs])
-    h1 = [logmod.derivation_module(arr1, mult1, i, max_pairs=max_pairs).hilb
-          for i in range(l1 + 1)]
-    h2 = [logmod.derivation_module(arr2, mult2, j, max_pairs=max_pairs).hilb
-          for j in range(l2 + 1)]
+    h1 = [logmod.derivation_module(arr1, mult1, i).hilb for i in range(l1 + 1)]
+    h2 = [logmod.derivation_module(arr2, mult2, j).hilb for j in range(l2 + 1)]
     ok = True
     rows = []
     for p in range(ell + 1):
-        lhs = logmod.derivation_module(prod_arr, prod_mult, p,
-                                       max_pairs=max_pairs).hilb
+        lhs = logmod.derivation_module(prod_arr, prod_mult, p).hilb
         rhs = None
         for i in range(max(0, p - l2), min(l1, p) + 1):
             term = h1[i] * h2[p - i]
@@ -309,8 +298,7 @@ def file_corpus(paths):
     return out
 
 
-def run_suite(suite: str = "paper", seed: int = 0, paths=(),
-              max_pairs: int = DEFAULT_MAX_PAIRS):
+def run_suite(suite: str = "paper", seed: int = 0, paths=()):
     """Run the applicable checks over a corpus; returns the full report.
 
     suite: "paper" (named fixtures), "random" (seeded corpus), or "file"
@@ -327,24 +315,18 @@ def run_suite(suite: str = "paper", seed: int = 0, paths=(),
 
     reports = []
     for name, arr, mult in corpus:
-        reports.append(check_regularity_bounds(arr, mult, subject=name,
-                                               max_pairs=max_pairs))
+        reports.append(check_regularity_bounds(arr, mult, subject=name))
         if mult.is_simple():
-            reports.append(check_chi_specialization(arr, subject=name,
-                                                    max_pairs=max_pairs))
+            reports.append(check_chi_specialization(arr, subject=name))
         if suite != "random":
-            reports.append(check_monic_degree(arr, mult, 1, subject=name,
-                                              max_pairs=max_pairs))
-            reports.append(check_second_coefficient(arr, mult, subject=name,
-                                                    max_pairs=max_pairs))
-            reports.append(check_free_formulas(arr, mult, subject=name,
-                                               max_pairs=max_pairs))
+            reports.append(check_monic_degree(arr, mult, 1, subject=name))
+            reports.append(check_second_coefficient(arr, mult, subject=name))
+            reports.append(check_free_formulas(arr, mult, subject=name))
             reports.append(check_low_degree_coefficients(
-                arr, mult, 1, subject=name, max_pairs=max_pairs))
+                arr, mult, 1, subject=name))
             if is_essential(arr):
                 reports.append(check_st_algebra_equality(
-                    arr, mult, 1, seed=seed, subject=name,
-                    max_pairs=max_pairs))
+                    arr, mult, 1, seed=seed, subject=name))
     failures = [r for r in reports if r.verdict == "fail"]
     return {
         "suite": suite,

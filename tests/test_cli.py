@@ -24,6 +24,13 @@ def bool3_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def ex2_B_path(tmp_path):
+    path = tmp_path / "ex2_B.arr"
+    path.write_text(fixture_text("ex2_B"))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -141,12 +148,49 @@ def test_exit_code_genericity_budget(capsys, ex1_path):
 
 
 def test_budget_env_override(capsys, ex1_path, monkeypatch):
-    from stlog import logmod
-    logmod.clear_cache()        # results cached per process; force recompute
     monkeypatch.setenv("STLOG_MAX_PAIRS", "1")
     code, _, err = run(capsys, "betti", ex1_path, "-p", "2")
     assert code == 3
     assert "resource budget" in err
+
+
+# -- one S-pair budget per request ------------------------------------------
+# D^2 of ex2_B takes 71 S-pairs over its four engines (kernel and three
+# resolution levels); `tame` computes D^0..D^4, 159 S-pairs in all.
+
+@pytest.mark.parametrize("command, budget, code", [
+    (("betti", "-p", "2"), 70, 3), (("betti", "-p", "2"), 71, 0),
+    (("tame",), 158, 3), (("tame",), 159, 0)])
+def test_max_pairs_bounds_the_whole_request(capsys, ex2_B_path, command,
+                                            budget, code):
+    got, _, err = run(capsys, *command, ex2_B_path, "--max-pairs", str(budget))
+    assert got == code
+    assert ("resource budget" in err) == (code == 3)
+
+
+def test_each_request_has_its_own_budget(capsys, ex2_B_path):
+    for _ in range(2):
+        code, _, err = run(capsys, "betti", ex2_B_path, "-p", "2",
+                           "--max-pairs", "71")
+        assert code == 0, err
+
+
+def test_st_algebra_eta_builds_ideal_generators_once(capsys, ex1_path,
+                                                     monkeypatch):
+    from stlog import stpoly
+    calls = []
+    original = stpoly.st_ideal_generators
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(stpoly, "st_ideal_generators", counted)
+    code, out, _ = run(capsys, "st-algebra", ex1_path,
+                       "--eta", "x1^2+x2^2+x3^2", "--json")
+    assert code == 0
+    assert len(calls) == 1
+    assert len(json.loads(out)["ideal_generators"]) == 4
 
 
 # -- eta parser -------------------------------------------------------------

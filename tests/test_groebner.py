@@ -234,7 +234,7 @@ def test_truncated_minimalization_matches_greedy_oracle(data):
     res = minimal_free_resolution(gens, module)
     assert res.generators == expected
     res.audit()
-    kept, F, syz = groebner._minimal_level(gens, module, groebner.DEFAULT_MAX_PAIRS)
+    kept, F, syz = groebner._minimal_level(gens, module)
     assert kept == expected
     assert F.shifts == tuple(g.degree() for g in kept)
     for s in syz:
@@ -327,7 +327,7 @@ def test_resolution_past_hilbert_bound_is_a_certificate_error(monkeypatch):
     module = FreeModule(nvars, [0])
     x, y = variables(2)
 
-    def endless(gens, ambient, max_pairs):
+    def endless(gens, ambient):
         # every level claims one generator with one nonzero syzygy
         F = FreeModule(nvars, [gens[0].degree()])
         return gens[:1], F, [F.element([x])]

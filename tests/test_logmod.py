@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from stlog import logmod
+from stlog import logmod, session
 from stlog.arrangement import Multiplicity, parse
 from stlog.exceptions import CertificateError, StructuralError
 from stlog.fixtures import load
@@ -178,3 +178,14 @@ def test_audit_rejects_generator_outside_dp(p):
         logmod._audit_membership(arr, mult, p, gens[:-1] + [bad])
     assert str(exc.value) == (f"membership audit failed for D^{p} generator "
                               f"at hyperplane {first}")
+
+
+def test_repeated_module_is_reused_at_no_cost():
+    # D^2 of ex2_B takes 71 S-pairs; a budget of 71 admits it exactly once
+    arr, mult = load("ex2_B")
+    with session.request(max_pairs=71) as current:
+        first = logmod.derivation_module(arr, mult, 2)
+        assert current.pairs == 71
+        assert logmod.derivation_module(arr, mult, 2) is first
+        assert current.pairs == 71
+    assert session.current() is not current     # the request has ended

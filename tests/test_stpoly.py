@@ -124,17 +124,17 @@ def test_sample_generic_eta_budget_exhaustion():
 def test_st_algebra_one_dim():
     arr, mult = load("bool1")
     eta = Polynomial(1, {(2,): Fraction(1)})
-    hf, colength = stpoly.st_algebra_hilbert(arr, mult, eta)
-    assert colength == 2
-    assert hf == {0: 1, 1: 1}
+    result = stpoly.st_algebra_hilbert(arr, mult, eta)
+    assert result.colength == 2
+    assert result.hilbert_function == {0: 1, 1: 1}
 
 
 def test_st_algebra_boolean_squares():
     arr, mult = load("bool2")
     eta = Polynomial(2, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
-    hf, colength = stpoly.st_algebra_hilbert(arr, mult, eta)
-    assert colength == 4
-    assert hf == {0: 1, 1: 2, 2: 1}
+    result = stpoly.st_algebra_hilbert(arr, mult, eta)
+    assert result.colength == 4
+    assert result.hilbert_function == {0: 1, 1: 2, 2: 1}
 
 
 def test_st_algebra_rejects_non_generic_eta():
