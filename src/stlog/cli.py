@@ -318,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="machine-readable output")
         p.add_argument("--max-pairs", type=int, default=None,
                        help="S-pair budget for Groebner computations")
-        p.add_argument("--seed", type=int, default=0)
         if p_flag:
             p.add_argument("-p", type=int, default=1,
                            help="exterior order (default 1)")
@@ -345,15 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_alg.add_argument("--eta", default="random",
                        help="'random' or an explicit polynomial in x1..xl")
     p_alg.add_argument("--max-eta-attempts", type=int, default=None)
+    p_alg.add_argument("--seed", type=int, default=0,
+                       help="seed for sampling a random eta (default 0)")
     common(sub.add_parser("essentialize", help="essential equivalent"))
     p_ver = sub.add_parser("verify", help="run the verification suite")
+    common(p_ver, needs_input=False)
     p_ver.add_argument("--suite", choices=("paper", "random", "file"),
                        default="paper")
     p_ver.add_argument("input", nargs="*", help="arrangement files (suite=file)")
-    p_ver.add_argument("--json", action="store_true")
     p_ver.add_argument("--json-path", help="also write the JSON report here")
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--max-pairs", type=int, default=None)
+    p_ver.add_argument("--seed", type=int, default=0,
+                       help="seed of the random corpus (default 0)")
     return parser
 
 

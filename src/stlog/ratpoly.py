@@ -4,20 +4,24 @@ Everything downstream (Groebner bases, Hilbert series, Solomon-Terao
 polynomials) is built on the types here: multivariate polynomials with
 Fraction coefficients, univariate Laurent polynomials, rational series
 with a (1-x)^k denominator, and bi-polynomials in (x, t).  No floating
-point anywhere.
+point anywhere.  The three polynomial types share one arithmetic core,
+`_Sparse`; each says only how its exponents multiply, what the exponent
+of 1 is, and how to build its own values.
 
 Monomials are plain exponent tuples; the helpers below treat them as an
 abelian monoid so the Groebner engine can share them.
 
 Division by one polynomial (Monagan-Pearce, Sparse polynomial division
 using a heap, JSC 2011) keys each remainder term once, when it enters,
-by `_key`, and takes the grevlex lead from a heap.  Divisibility is
-decided in integers: `IntegerDivisor` makes the divisor primitive over
-Z, so by Gauss's lemma the quotient of an integral dividend is integral,
-and the first lead term that the divisor's lead does not divide, or that
-leaves a nonzero integer remainder, proves non-divisibility at once.
-This module imports nothing from `groebner`: the membership audit built
-on it stays independent of the Groebner engine.
+by `_key`, and takes the grevlex lead from a heap.  It is the only
+division loop over Q: `exact_divide` is a one-variable division after a
+shift to valuation 0.  Divisibility is decided in integers:
+`IntegerDivisor` makes the divisor primitive over Z, so by Gauss's
+lemma the quotient of an integral dividend is integral, and the first
+lead term that the divisor's lead does not divide, or that leaves a
+nonzero integer remainder, proves non-divisibility at once.  This
+module imports nothing from `groebner`: the membership audit built on
+it stays independent of the Groebner engine.
 """
 
 from __future__ import annotations
@@ -63,31 +67,99 @@ def _coerce(c) -> Fraction:
     raise StructuralError(f"non-rational coefficient {c!r}")
 
 
-def _power(base, k: int, one):
-    """base**k for k >= 0 by square-and-multiply, starting from one; the
-    last bit of k needs no further squaring."""
-    result = one
-    while True:
-        if k & 1:
-            result = result * base
-        k >>= 1
-        if not k:
-            return result
-        base = base * base
+class _Sparse:
+    """Sparse {exponent: nonzero Fraction} arithmetic shared by the
+    polynomial types; instances are treated as immutable.
+
+    A subclass supplies `_mul_exp` (how two exponents multiply), `_one_exp`
+    (the exponent of 1) and `_new` (a value of its own type from terms),
+    and may refuse another value in `_check`.  The exponent of 1 also
+    tells rings of one type apart in `==` and `hash`: for `Polynomial` it
+    is the zero tuple of length nvars.
+    """
+
+    __slots__ = ("terms",)
+
+    def _check(self, other):
+        pass
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            s = terms.get(m, 0) + c
+            if s:
+                terms[m] = s
+            else:
+                terms.pop(m, None)
+        return self._new(terms)
+
+    def __neg__(self):
+        return self._new({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        self._check(other)
+        mul = self._mul_exp
+        terms = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = mul(m1, m2)
+                s = terms.get(m, 0) + c1 * c2
+                if s:
+                    terms[m] = s
+                else:
+                    terms.pop(m, None)
+        return self._new(terms)
+
+    __rmul__ = __mul__
+
+    def scale(self, c):
+        c = _coerce(c)
+        if not c:
+            return self._new({})
+        return self._new({m: c * v for m, v in self.terms.items()})
+
+    def __pow__(self, k: int):
+        """self**k for k >= 0 by square-and-multiply; the last bit of k
+        needs no further squaring."""
+        if k < 0:
+            raise StructuralError("negative power")
+        result, base = self._new({self._one_exp(): 1}), self
+        while True:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if not k:
+                return result
+            base = base * base
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._one_exp() == other._one_exp()
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self._one_exp(), frozenset(self.terms.items())))
 
 
 # ---------------------------------------------------------------------------
 # multivariate polynomials
 
-class Polynomial:
+class Polynomial(_Sparse):
     """Sparse multivariate polynomial over Q.
 
-    `terms` maps exponent tuples to nonzero Fractions.  Instances are
-    treated as immutable; all operations return new objects.  The degree
-    of the zero polynomial is None (a tagged sentinel, never -1).
+    `terms` maps exponent tuples to nonzero Fractions.  The degree of the
+    zero polynomial is None (a tagged sentinel, never -1).
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms: Mapping[Mono, Fraction] | None = None):
         self.nvars = nvars
@@ -134,9 +206,6 @@ class Polynomial:
         return cls(n, terms)
 
     # -- predicates
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self):
         """Total degree, or None for the zero polynomial."""
         if not self.terms:
@@ -154,62 +223,18 @@ class Polynomial:
         return self.terms.get(tuple(mono), Fraction(0))
 
     # -- arithmetic
+    _mul_exp = staticmethod(mono_mul)
+
+    def _one_exp(self) -> Mono:
+        return mono_zero(self.nvars)
+
+    def _new(self, terms) -> "Polynomial":
+        return Polynomial(self.nvars, terms)
+
     def _check(self, other: "Polynomial"):
         if self.nvars != other.nvars:
             raise StructuralError(
                 f"variable count mismatch: {self.nvars} vs {other.nvars}")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Polynomial(self.nvars, terms)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return Polynomial(self.nvars, terms)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "Polynomial":
-        c = _coerce(c)
-        if not c:
-            return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {m: c * v for m, v in self.terms.items()})
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise StructuralError("negative polynomial power")
-        return _power(self, k, Polynomial.one(self.nvars))
-
-    def __eq__(self, other):
-        return (isinstance(other, Polynomial) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     # -- calculus / evaluation
     def partial(self, i: int) -> "Polynomial":
@@ -398,10 +423,10 @@ def render_terms(named):
 # ---------------------------------------------------------------------------
 # univariate Laurent polynomials
 
-class LaurentPolynomial:
+class LaurentPolynomial(_Sparse):
     """Sparse univariate Laurent polynomial over Q (negative powers allowed)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[int, Fraction] | None = None):
         clean = {}
@@ -420,9 +445,6 @@ class LaurentPolynomial:
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self):
         return max(self.terms) if self.terms else None
 
@@ -432,58 +454,17 @@ class LaurentPolynomial:
     def coefficient(self, e: int) -> Fraction:
         return self.terms.get(e, Fraction(0))
 
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+    _mul_exp = staticmethod(add)
+
+    def _one_exp(self) -> int:
+        return 0
+
+    def _new(self, terms) -> "LaurentPolynomial":
         return LaurentPolynomial(terms)
-
-    def __neg__(self):
-        return LaurentPolynomial({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return LaurentPolynomial(terms)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "LaurentPolynomial":
-        c = _coerce(c)
-        if not c:
-            return LaurentPolynomial()
-        return LaurentPolynomial({e: c * v for e, v in self.terms.items()})
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by x^k."""
         return LaurentPolynomial({e + k: c for e, c in self.terms.items()})
-
-    def __pow__(self, k: int) -> "LaurentPolynomial":
-        if k < 0:
-            raise StructuralError("negative Laurent power; invert explicitly")
-        return _power(self, k, LaurentPolynomial.one())
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def evaluate(self, point) -> Fraction:
         point = _coerce(point)
@@ -521,39 +502,22 @@ class LaurentPolynomial:
 
 
 def exact_divide(n: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomial:
-    """Exact Laurent division: q with q*d == n, else NonDivisibleError."""
+    """Exact Laurent division: q with q*d == n, else NonDivisibleError.
+
+    Both sides are shifted to valuation 0 and divided as one-variable
+    polynomials, where the grevlex lead is the top degree: this is long
+    division, and its remainder is the one the error carries."""
     if d.is_zero():
         raise StructuralError("division by zero")
     if n.is_zero():
         return LaurentPolynomial.zero()
     nv, dv = n.valuation(), d.valuation()
-    # shift to ordinary polynomials with nonzero constant term
-    num = {e - nv: c for e, c in n.terms.items()}
-    den = {e - dv: c for e, c in d.terms.items()}
-    dd = max(den)
-    dlc = den[dd]
-    quo = {}
-    rem = dict(num)
-    while rem:
-        e = max(rem)
-        if e < dd:
-            break
-        c = rem.pop(e)
-        q = c / dlc
-        quo[e - dd] = q
-        for de, dc in den.items():
-            if de == dd:
-                continue
-            ee = de + e - dd
-            s = rem.get(ee, 0) - q * dc
-            if s:
-                rem[ee] = s
-            else:
-                rem.pop(ee, None)
-    if rem:
-        remainder = LaurentPolynomial({e + nv: c for e, c in rem.items()})
+    q, r = Polynomial(1, {(e - nv,): c for e, c in n.terms.items()}).divide(
+        Polynomial(1, {(e - dv,): c for e, c in d.terms.items()}))
+    if r.terms:
+        remainder = LaurentPolynomial({e + nv: c for (e,), c in r.terms.items()})
         raise NonDivisibleError("inexact Laurent division", remainder=remainder)
-    return LaurentPolynomial({e + nv - dv: c for e, c in quo.items()})
+    return LaurentPolynomial({e + nv - dv: c for (e,), c in q.terms.items()})
 
 
 ONE_MINUS_X = LaurentPolynomial({0: 1, 1: -1})
@@ -640,10 +604,10 @@ class RationalSeries:
 # ---------------------------------------------------------------------------
 # bi-polynomials in (x, t)
 
-class BiPolynomial:
+class BiPolynomial(_Sparse):
     """Sparse polynomial in x (integer powers) and t (non-negative powers)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
         clean = {}
@@ -668,9 +632,6 @@ class BiPolynomial:
     def from_laurent(cls, p: LaurentPolynomial, t_power: int = 0) -> "BiPolynomial":
         return cls({(e, t_power): c for e, c in p.terms.items()})
 
-    def is_zero(self):
-        return not self.terms
-
     def t_degree(self):
         return max(te for _, te in self.terms) if self.terms else None
 
@@ -678,54 +639,13 @@ class BiPolynomial:
         return LaurentPolynomial(
             {xe: c for (xe, te), c in self.terms.items() if te == k})
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, 0) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
+    _mul_exp = staticmethod(mono_mul)
+
+    def _one_exp(self) -> tuple:
+        return (0, 0)
+
+    def _new(self, terms) -> "BiPolynomial":
         return BiPolynomial(terms)
-
-    def __neg__(self):
-        return BiPolynomial({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        terms = {}
-        for (x1, t1), c1 in self.terms.items():
-            for (x2, t2), c2 in other.terms.items():
-                k = (x1 + x2, t1 + t2)
-                s = terms.get(k, 0) + c1 * c2
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
-        return BiPolynomial(terms)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        c = _coerce(c)
-        if not c:
-            return BiPolynomial()
-        return BiPolynomial({k: c * v for k, v in self.terms.items()})
-
-    def __pow__(self, k: int) -> "BiPolynomial":
-        if k < 0:
-            raise StructuralError("negative power")
-        return _power(self, k, BiPolynomial.one())
-
-    def __eq__(self, other):
-        return isinstance(other, BiPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def substitute_t(self, s: LaurentPolynomial) -> LaurentPolynomial:
         """Ring-homomorphic substitution t -> s(x), x fixed."""

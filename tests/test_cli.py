@@ -91,6 +91,14 @@ def test_st_algebra_deterministic_json(capsys, ex1_path):
     assert out1 == out2        # byte-identical given identical seed
 
 
+def test_seed_only_where_it_is_read(capsys, ex1_path):
+    # chi draws no random numbers, so a seed there is an input error
+    with pytest.raises(SystemExit) as exc:
+        main(["chi", ex1_path, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_st_algebra_explicit_eta(capsys, ex1_path):
     code, out, _ = run(capsys, "st-algebra", ex1_path,
                        "--eta", "x1^2+x2^2+x3^2", "--json")

@@ -57,6 +57,17 @@ def laurents(draw, lo=-3, hi=5, max_terms=4):
     return LaurentPolynomial(terms)
 
 
+@st.composite
+def bipolys(draw, max_terms=4):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        k = (draw(st.integers(-2, 3)), draw(st.integers(0, 3)))
+        c = draw(coeffs)
+        if c:
+            terms[k] = Fraction(c)
+    return BiPolynomial(terms)
+
+
 # -- ring axioms ------------------------------------------------------------
 
 @settings(max_examples=80)
@@ -79,6 +90,42 @@ def test_laurent_ring_axioms(a, b, c):
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert (a - a).is_zero()
+
+
+@settings(max_examples=80)
+@given(bipolys(), bipolys(), bipolys())
+def test_bipoly_ring_axioms(a, b, c):
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + BiPolynomial.zero() == a
+    assert a * BiPolynomial.one() == a
+    assert (a - a).is_zero()
+    assert a ** 2 == a * a
+    assert 3 * a == a.scale(3) == a + a + a
+
+
+@pytest.mark.parametrize("value, one", [
+    (Polynomial.variable(0, 2), Polynomial.one(2)),
+    (LaurentPolynomial({-1: 1}), LaurentPolynomial.one()),
+    (BiPolynomial({(1, 1): 1}), BiPolynomial.one())])
+def test_negative_power_is_refused(value, one):
+    assert value ** 0 == one
+    with pytest.raises(StructuralError):
+        value ** -1
+
+
+def test_polynomials_in_different_rings_do_not_mix():
+    x2, x3 = Polynomial.variable(0, 2), Polynomial.variable(0, 3)
+    with pytest.raises(StructuralError):
+        x2 + x3
+    with pytest.raises(StructuralError):
+        x2 * x3
+    assert x2 != x3
+    assert Polynomial.zero(2) != Polynomial.zero(3)
+    assert Polynomial.one(1) != LaurentPolynomial.one()
 
 
 @settings(max_examples=60)
@@ -142,7 +189,8 @@ def test_laurent_exact_divide_roundtrip(a, b):
 def test_exact_divide_failure_carries_remainder():
     with pytest.raises(NonDivisibleError) as exc:
         exact_divide(LaurentPolynomial({1: 1, 0: 1}), ONE_MINUS_X)
-    assert exc.value.remainder is not None
+    # long division leaves (1 + x) + (1 - x) = 2
+    assert exc.value.remainder == LaurentPolynomial({0: 2})
 
 
 def test_degree_of_zero_is_none():
