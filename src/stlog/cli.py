@@ -12,6 +12,7 @@ environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -373,8 +374,14 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.max_pairs is None:
             args.max_pairs = _env_int("STLOG_MAX_PAIRS",

@@ -11,6 +11,12 @@ relations produced by S-pairs that reduce to zero (Schreyer).  One
 reduction loop, `_reduce`, serves the engine, `normal_form`, `lift`
 and the reduced basis.
 
+Only an untracked engine skips S-pairs, by the Gebauer-Moeller criteria
+(Gebauer-Moeller, On an installation of Buchberger's algorithm, JSC
+1988): it needs a Groebner basis, not the syzygies.  A tracked engine
+processes every pair, because its syzygies are the pairs that reduce to
+zero.
+
 A minimal free resolution builds each of its modules with one tracked
 engine (`_minimal_level`): the candidates are fed by increasing degree,
 each is kept only if it is not in the span of those kept before it
@@ -290,8 +296,11 @@ class GroebnerEngine:
     primitive integer vector gen_scales[i] * g_i.  With track=True every
     basis row carries its representation in terms of the stored
     generators, and S-pairs that reduce to zero are collected as
-    syzygies of them.  Every S-pair is charged to the session that is
-    current when the engine is built.
+    syzygies of them, so every pair is processed.  With track=False the
+    pairs the Gebauer-Moeller criteria prove redundant are dropped
+    (`_update_pairs`), since only the basis is wanted.  Every processed
+    S-pair is charged to the session that is current when the engine is
+    built.
     """
 
     def __init__(self, module: FreeModule, track: bool = False):
@@ -300,7 +309,7 @@ class GroebnerEngine:
         self.session = session.current()
         self.rows: list[_Row] = []
         self._lead_index: dict[int, list] = {}  # comp -> [(lead rm, row_idx)]
-        self._pairs: list = []                  # heap of (deg, i, j)
+        self._pairs: list = []                  # heap of (deg, i, j, lcm)
         self._pairs_done = 0
         self.gen_degrees: list[int] = []
         self.gen_scales: list[Fraction] = []
@@ -313,12 +322,49 @@ class GroebnerEngine:
         self.rows.append(row)
         _, comp, lrm = row.lead
         self._lead_index.setdefault(comp, []).append((lrm, idx))
+        new = [(tuple(map(max, other.lead[2], lrm)), j)
+               for j, other in enumerate(self.rows[:-1]) if other.lead[1] == comp]
+        if not self.track:
+            new = self._update_pairs(new, comp, lrm)
         shift = self.module.shifts[comp]
-        for j, other in enumerate(self.rows[:-1]):
-            if other.lead[1] == comp:
-                deg = sum(map(max, other.lead[2], lrm)) + shift
-                heapq.heappush(self._pairs, (deg, j, idx))
+        for lcm_rm, j in new:
+            heapq.heappush(self._pairs, (sum(lcm_rm) + shift, j, idx, lcm_rm))
         return idx
+
+    def _update_pairs(self, new, comp, lrm):
+        """Gebauer-Moeller criteria for the new lead lrm in component comp
+        (Becker-Weispfenning, Groebner Bases, UPDATE): drops the pending
+        pairs it makes redundant and returns the new pairs (lcm, j) worth
+        keeping.
+
+        A pending pair (a, b) whose lcm lrm divides goes, unless its lcm
+        equals that of (a, h) or (b, h); of the new pairs, one per minimal
+        lcm stays.  The coprime-lead criterion holds only for ideals: in
+        S^2 the pair of (x, y) and (y, x) has coprime leads and yields
+        (0, x^2 - y^2).  Every pair that justifies a deletion has an lcm
+        dividing the deleted one's, so no higher degree, and a completion
+        through any degree still yields the basis truncated there.
+        """
+        rows, pairs = self.rows, self._pairs
+        pending = [entry for entry in pairs
+                   if rows[entry[1]].lead[1] != comp
+                   or not all(map(le, lrm, entry[3]))
+                   or tuple(map(max, rows[entry[1]].lead[2], lrm)) == entry[3]
+                   or tuple(map(max, rows[entry[2]].lead[2], lrm)) == entry[3]]
+        if len(pending) < len(pairs):
+            pairs[:] = pending
+            heapq.heapify(pairs)
+        ideal = self.module.rank == 1
+        degree = sum(lrm)
+        kept, coprime = [], set()
+        for k, (lcm_gh, j) in enumerate(new):
+            if ideal and sum(lcm_gh) == degree + sum(rows[j].lead[2]):
+                coprime.add(j)      # kept only to cover the pairs above it
+            elif any(all(map(le, other, lcm_gh))
+                     for other, _ in itertools.chain(new[k + 1:], kept)):
+                continue
+            kept.append((lcm_gh, j))
+        return [(lcm_gh, j) for lcm_gh, j in kept if j not in coprime]
 
     def _insert(self, vec, rep):
         """Reduce the integer vec, whose representation is rep (None
@@ -351,9 +397,8 @@ class GroebnerEngine:
         while pairs and (max_degree is None or pairs[0][0] <= max_degree):
             self._pairs_done += 1
             self.session.charge_pair()
-            _, i, j = heapq.heappop(pairs)
+            _, i, j, lcm_rm = heapq.heappop(pairs)
             ri, rj = self.rows[i], self.rows[j]
-            lcm_rm = tuple(map(max, ri.lead[2], rj.lead[2]))
             si = tuple(map(sub, lcm_rm, ri.lead[2]))
             sj = tuple(map(sub, lcm_rm, rj.lead[2]))
             dsi, dsj = sum(si), sum(sj)
@@ -382,16 +427,14 @@ class GroebnerEngine:
         _, ivec = _encode(vec, self.module.shifts)
         return not _reduce(ivec, self.rows, self._lead_index, first=True)[0]
 
-    def original_syzygies(self, n=None):
+    def original_syzygies(self):
         """The recorded syzygies over the original generators, one at a
         time: integer vectors in internal keys, each a positive multiple
-        of a syzygy, restricted to the first n generators when n is given."""
-        if n is None:
-            n = len(self.gen_scales)
+        of a syzygy."""
         den = lcm(*(k.denominator for k in self.gen_scales))
         mult = [k.numerator * (den // k.denominator) for k in self.gen_scales]
         for syz in self.syzygies:
-            yield {t: c * mult[t[1]] for t, c in syz.items() if t[1] < n}
+            yield {t: c * mult[t[1]] for t, c in syz.items()}
 
     def reduced_basis_vecs(self):
         """Deterministic reduced Groebner basis as monic flat dicts."""
@@ -483,8 +526,15 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
     columns[j] is the image of the j-th basis vector of source, as a
     ModuleElement of target.  relations is an optional list of
     (row_index, Polynomial q) meaning the target is divided by q*e_row.
-    Computed by augmenting with the relation columns and projecting the
-    syzygies onto the source coordinates.
+    Computed by augmenting with the relation columns: the syzygies of
+    columns and relations, projected onto the source coordinates.
+
+    The relations enter with an empty representation, so the rows carry
+    representation terms on the source coordinates only.  That projection
+    is linear, so it commutes with every rescaling and subtraction of the
+    reduction, and the reducers are chosen by row leads alone: each
+    recorded syzygy is a positive multiple of the projection of the one
+    full representations would give, and the monic kernel is the same.
     """
     columns = list(columns)
     if len(columns) != source.rank:
@@ -493,11 +543,10 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
     for j, col in enumerate(columns):
         eng.add_generator(col.vec, source.shifts[j])
     for (r, q) in (relations or []):
-        vec = {(r, m): c for m, c in q.terms.items()}
-        deg = (q.degree() or 0) + target.shifts[r]
-        eng.add_generator(vec, deg)
+        eng._insert(_encode({(r, m): c for m, c in q.terms.items()},
+                            target.shifts)[1], {})
     eng.complete()
-    return _monic_unique(eng.original_syzygies(source.rank), source)
+    return _monic_unique(eng.original_syzygies(), source)
 
 
 def _minimal_level(gens, module: FreeModule):

@@ -164,14 +164,21 @@ def test_budget_env_override(capsys, ex1_path, monkeypatch):
 
 # -- one S-pair budget per request ------------------------------------------
 # D^2 of ex2_B takes 71 S-pairs over its four engines (kernel and three
-# resolution levels); `tame` computes D^0..D^4, 159 S-pairs in all.
+# resolution levels); `tame` computes D^0..D^4, 159 S-pairs in all.  These
+# engines are tracked and process every pair.  `st-algebra` on ex2_A takes
+# 98, most of them in the untracked colength engine, which skips the pairs
+# the Gebauer-Moeller criteria make redundant (384 without them).
 
 @pytest.mark.parametrize("command, budget, code", [
     (("betti", "-p", "2"), 70, 3), (("betti", "-p", "2"), 71, 0),
-    (("tame",), 158, 3), (("tame",), 159, 0)])
-def test_max_pairs_bounds_the_whole_request(capsys, ex2_B_path, command,
+    (("tame",), 158, 3), (("tame",), 159, 0),
+    (("st-algebra",), 97, 3), (("st-algebra",), 98, 0)])
+def test_max_pairs_bounds_the_whole_request(capsys, tmp_path, command,
                                             budget, code):
-    got, _, err = run(capsys, *command, ex2_B_path, "--max-pairs", str(budget))
+    name = "ex2_A" if command[0] == "st-algebra" else "ex2_B"
+    path = tmp_path / f"{name}.arr"
+    path.write_text(fixture_text(name))
+    got, _, err = run(capsys, *command, str(path), "--max-pairs", str(budget))
     assert got == code
     assert ("resource budget" in err) == (code == 3)
 

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from stlog import groebner, linalg
 from stlog.exceptions import CertificateError, StructuralError
-from stlog.groebner import (FreeModule, groebner_basis, hilbert_series,
-                            kernel_of_map, lift, minimal_free_resolution,
-                            minimalize_generators, normal_form, poly_dimension,
-                            quotient_colength, syzygy_module)
-from stlog.ratpoly import Polynomial, mono_deg
+from stlog.groebner import (FreeModule, ModuleElement, groebner_basis,
+                            hilbert_series, kernel_of_map, lift,
+                            minimal_free_resolution, minimalize_generators,
+                            normal_form, poly_dimension, quotient_colength,
+                            syzygy_module)
+from stlog.ratpoly import Polynomial, mono_deg, mono_mul, mono_zero
 
 
 def ring_element(module, poly):
@@ -114,6 +115,98 @@ def test_membership_product_of_generators():
     h = (x * x - y * z) * (x + y) + (y * y - x * z) * z
     assert membership_by_groebner(h, gens, module)
     assert not membership_by_groebner(x * y, gens, module)
+
+
+# -- the pair criteria on modules -------------------------------------------
+# Untracked engines skip S-pairs by the Gebauer-Moeller criteria; the
+# coprime-lead criterion is sound for ideals only.  The oracle is the same
+# linear algebra, on the graded pieces of a free module with shifts.
+
+def test_coprime_leads_in_a_module_still_make_a_pair():
+    # the leads x*e1 of (x, y) and y*e1 of (y, x) are coprime, yet their
+    # S-pair y*(x, y) - x*(y, x) = (0, y^2 - x^2) does not reduce to zero
+    module = FreeModule(2, [0, 0])
+    x, y = variables(2)
+    gb = groebner_basis([module.element([x, y]), module.element([y, x])], module)
+    target = module.element([Polynomial.zero(2), x * x - y * y])
+    assert normal_form(target, gb).is_zero()
+
+
+def test_pending_pair_with_the_lcm_of_a_new_pair_stays():
+    # generators a = (x^2, y^2), b = (xy, 0), h = (y, 0), in this order:
+    # h's lead y*e1 divides lcm(a, b) = x^2*y*e1, but lcm(a, h) equals it,
+    # so the pending pair (a, b) must stay; the new pair (a, h) goes for
+    # (b, h), whose lcm xy divides its own, and only S(a, b) is left to
+    # give y*a - x^2*h = (0, y^3)
+    module = FreeModule(2, [0, 0])
+    x, y = variables(2)
+    zero = Polynomial.zero(2)
+    gens = [module.element([x * x, y * y]), module.element([x * y, zero]),
+            module.element([y, zero])]
+    gb = groebner_basis(gens, module)
+    assert normal_form(module.element([zero, y * y * y]), gb).is_zero()
+
+
+def piece_row(vec, index, mono):
+    """The coordinates of x^mono * vec (a flat dict) in a module piece."""
+    row = [Fraction(0)] * len(index)
+    for (j, m), c in vec.items():
+        row[index[(j, mono_mul(m, mono))]] = c
+    return row
+
+
+def module_graded_piece(gens, module, d):
+    """The term index {(component, monomial): column} of the degree-d part
+    of module, and the rows {monomial * g} of degree d, which span the
+    degree-d part of the submodule the gens generate."""
+    index = {}
+    for j, s in enumerate(module.shifts):
+        for m in monomials_of_degree(module.nvars, d - s) if d >= s else ():
+            index[(j, m)] = len(index)
+    rows = [piece_row(g.vec, index, u) for g in gens if g.degree() <= d
+            for u in monomials_of_degree(module.nvars, d - g.degree())]
+    return index, rows
+
+
+@st.composite
+def submodules(draw):
+    """Random homogeneous generators of degree 1..2 of a submodule of a
+    free module of rank 2 or 3 with shifts 0..1, in 2 or 3 variables."""
+    nvars = draw(st.integers(2, 3))
+    module = FreeModule(nvars, draw(st.lists(st.integers(0, 1),
+                                             min_size=2, max_size=3)))
+    gens = []
+    for _ in range(draw(st.integers(2, 4))):
+        d = draw(st.integers(1, 2))
+        gens.append(module.element(
+            [draw(homogeneous_polys(nvars, degree=d - s, max_terms=3))
+             for s in module.shifts]))
+    return module, [g for g in gens if not g.is_zero()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(submodules(), st.data())
+def test_module_membership_agrees_with_linear_algebra(sub, data):
+    module, gens = sub
+    if not gens:
+        return
+    gb = groebner_basis(gens, module)
+    degrees = [g.degree() for g in gens]
+    for d in range(min(degrees), max(degrees) + 3):
+        index, rows = module_graded_piece(gens, module, d)
+        echelon, _ = linalg.rref(rows)
+        terms = list(index)
+        # a random member, and the same plus one random term
+        weights = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                                     max_size=len(rows)))
+        member = [sum(w * row[k] for w, row in zip(weights, rows))
+                  for k in range(len(index))]
+        other = list(member)
+        other[data.draw(st.integers(0, len(index) - 1))] += 1
+        for vector in (member, other):
+            h = ModuleElement(module, {t: c for t, c in zip(terms, vector)})
+            assert (normal_form(h, gb).is_zero()
+                    == linalg.in_row_span(vector, echelon))
 
 
 # -- syzygies ---------------------------------------------------------------
@@ -363,6 +456,47 @@ def test_kernel_of_map_with_relations():
     minimal = minimalize_generators(kernel, source)
     assert len(minimal) == 1
     assert minimal[0].component(0) == x * x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kernel_of_map_with_relations_is_complete(data):
+    # constant columns S^n -> S^r and relations q*e_r of degree 1..2, as in
+    # the constraint matrix of D^p; in each low degree d,
+    #   dim ker_d = dim source_d - rank(map_d modulo relations_d),
+    # and the kernel generators span ker_d
+    nvars = data.draw(st.integers(2, 3))
+    source = FreeModule(nvars, [0] * data.draw(st.integers(1, 4)))
+    target = FreeModule(nvars, [0] * data.draw(st.integers(1, 3)))
+    columns = [target.element([Polynomial.constant(data.draw(st.integers(-2, 2)), nvars)
+                               for _ in target.shifts]) for _ in source.shifts]
+    relations = []
+    for r in range(target.rank):
+        q = data.draw(homogeneous_polys(nvars, degree=data.draw(st.integers(1, 2)),
+                                        max_terms=3))
+        if data.draw(st.booleans()) and not q.is_zero():
+            relations.append((r, q))
+    kernel = kernel_of_map(columns, source, target, relations)
+    rel_gens = [target.element([q if j == r else Polynomial.zero(nvars)
+                                for j in range(target.rank)])
+                for r, q in relations]
+    for d in range(4):
+        source_index, _ = module_graded_piece([], source, d)
+        target_index, rel_rows = module_graded_piece(rel_gens, target, d)
+        images = [piece_row(col.vec, target_index, u) for col in columns
+                  for u in monomials_of_degree(nvars, d)]
+        rel_rank = linalg.rank(rel_rows)
+        map_rank = linalg.rank(rel_rows + images) - rel_rank
+        _, kernel_rows = module_graded_piece(kernel, source, d)
+        assert linalg.rank(kernel_rows) == len(source_index) - map_rank
+        for k in kernel:
+            if k.degree() == d:
+                image = target.element(
+                    [sum((k.component(j) * col.component(t)
+                          for j, col in enumerate(columns)), Polynomial.zero(nvars))
+                     for t in range(target.rank)])
+                row = piece_row(image.vec, target_index, mono_zero(nvars))
+                assert linalg.rank(rel_rows + [row]) == rel_rank
 
 
 def test_quotient_colength_infinite_returns_none():
