@@ -47,9 +47,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, le, sub
+from types import MappingProxyType
 
 from . import session
 from .exceptions import CertificateError, StructuralError
@@ -376,13 +378,10 @@ class GroebnerEngine:
         elif rep:
             self.syzygies.append(rep)
 
-    def add_generator(self, vec, degree=None):
-        """Feed one original generator (flat dict); returns its index."""
+    def add_generator(self, vec, degree):
+        """Feed one original generator (flat dict) of the given degree;
+        returns its index."""
         gi = len(self.gen_degrees)
-        if degree is None:
-            degree = 0
-            if vec:
-                degree = max(mono_deg(m) + self.module.shifts[c] for c, m in vec)
         self.gen_degrees.append(degree)
         k, ivec = _encode(vec, self.module.shifts)
         self.gen_scales.append(k)
@@ -621,21 +620,35 @@ def lift(v: ModuleElement, gens):
 # resolutions
 
 class BettiTable:
-    """Graded Betti numbers beta_{i,d} read off a minimal resolution."""
+    """Graded Betti numbers beta_{i,d} of a minimal resolution, held
+    read-only as counts {(i, d): beta_{i,d}}; pd, reg and the Hilbert
+    series are read off them."""
 
-    __slots__ = ("counts", "pd", "reg")
+    __slots__ = ("counts",)
 
-    def __init__(self, counts, pd: int, reg):
-        self.counts = dict(counts)
-        self.pd = pd
-        self.reg = reg
+    def __init__(self, counts):
+        self.counts = MappingProxyType(dict(counts))
+
+    @property
+    def pd(self) -> int:
+        return max((i for i, _ in self.counts), default=0)
+
+    @property
+    def reg(self):
+        return max((d - i for i, d in self.counts), default=None)
 
     def beta(self, i: int, d: int) -> int:
         return self.counts.get((i, d), 0)
 
     def shifted(self, k: int) -> "BettiTable":
-        return BettiTable({(i, d + k): c for (i, d), c in self.counts.items()},
-                          self.pd, None if self.reg is None else self.reg + k)
+        return BettiTable({(i, d + k): c for (i, d), c in self.counts.items()})
+
+    def hilbert_series(self, nvars: int) -> RationalSeries:
+        """Alternating sum of shift generating functions over (1-x)^nvars."""
+        num = {}
+        for (i, d), c in self.counts.items():
+            num[d] = num.get(d, 0) + (-1) ** i * c
+        return RationalSeries(LaurentPolynomial(num), nvars)
 
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.counts == other.counts
@@ -669,24 +682,16 @@ class Resolution:
         self.generators = list(generators)
 
     @property
-    def length(self) -> int:
-        return len(self.modules) - 1
-
-    @property
     def pd(self) -> int:
-        return self.length
+        return self.betti().pd
 
     @property
     def reg(self):
-        vals = [s - i for i, F in enumerate(self.modules) for s in F.shifts]
-        return max(vals) if vals else None
+        return self.betti().reg
 
     def betti(self) -> BettiTable:
-        counts = {}
-        for i, F in enumerate(self.modules):
-            for s in F.shifts:
-                counts[(i, s)] = counts.get((i, s), 0) + 1
-        return BettiTable(counts, self.pd, self.reg)
+        return BettiTable(Counter((i, s) for i, F in enumerate(self.modules)
+                                  for s in F.shifts))
 
     def audit(self):
         """Check d∘d = 0 and minimality (no nonzero constant entries)."""
@@ -742,20 +747,12 @@ def minimal_free_resolution(gens,
 
 
 def hilbert_series(res: Resolution) -> RationalSeries:
-    """Alternating sum of shift generating functions over (1-x)^nvars."""
-    num = {}
-    for i, F in enumerate(res.modules):
-        sign = 1 if i % 2 == 0 else -1
-        for s in F.shifts:
-            num[s] = num.get(s, 0) + sign
-    return RationalSeries(LaurentPolynomial(num), res.nvars)
+    """Hilbert series of the module res resolves, from its Betti table."""
+    return res.betti().hilbert_series(res.nvars)
 
 
 def free_module_hilbert(nvars: int, shifts) -> RationalSeries:
-    num = {}
-    for s in shifts:
-        num[s] = num.get(s, 0) + 1
-    return RationalSeries(LaurentPolynomial(num), nvars)
+    return BettiTable(Counter((0, s) for s in shifts)).hilbert_series(nvars)
 
 
 # ---------------------------------------------------------------------------

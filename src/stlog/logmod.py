@@ -20,6 +20,7 @@ negative.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -28,29 +29,35 @@ from .arrangement import (Arrangement, Multiplicity, defining_polynomial,
                           is_essential, render)
 from . import session
 from .exceptions import CertificateError, StructuralError
-from .groebner import (BettiTable, FreeModule, ModuleElement, Resolution,
-                       free_module_hilbert, hilbert_series, kernel_of_map,
+from .groebner import (BettiTable, FreeModule, ModuleElement, kernel_of_map,
                        minimal_free_resolution)
 from .ratpoly import (IntegerDivisor, Polynomial, RationalSeries,
                       integer_terms)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogModule:
+    """A computed D^p or Omega^p, read-only: one request hands the same
+    record to every caller.  reg, pd and the generator degrees are read
+    off the Betti table."""
+
     kind: str               # "D" or "Omega"
     p: int
-    arrangement: Arrangement
-    mult: Multiplicity
-    generators: list        # minimal homogeneous generators in the basis d_I
-    resolution: Resolution
+    generators: tuple       # minimal homogeneous generators in the basis d_I
     betti: BettiTable
     hilb: RationalSeries
-    reg: int
-    pd: int
+
+    @property
+    def reg(self):
+        return self.betti.reg
+
+    @property
+    def pd(self) -> int:
+        return self.betti.pd
 
     def generator_degrees(self):
-        shift = 0 if self.kind == "D" else -self.mult.total
-        return sorted(g.degree() + shift for g in self.generators)
+        return sorted(d for (i, d), c in self.betti.counts.items()
+                      if i == 0 for _ in range(c))
 
     def to_json(self):
         return {
@@ -99,7 +106,7 @@ def _column_entries(arr: Arrangement, p: int, cols, rows):
 
 def derivation_module(arr: Arrangement, mult: Multiplicity,
                       p: int) -> LogModule:
-    """D^p(A,m) with minimal generators, resolution, Hilbert series.
+    """D^p(A,m) with minimal generators, Betti table, Hilbert series.
 
     Computed once per request: a repeated call inside one
     `session.request()` returns the same object and costs no S-pairs.
@@ -112,16 +119,21 @@ def derivation_module(arr: Arrangement, mult: Multiplicity,
     if key in modules:
         return modules[key]
 
-    nvars = ell
     if p == 0:
-        source = FreeModule(nvars, [0])
-        gens = [source.basis_element(0)]
-        res = Resolution(nvars, [FreeModule(nvars, [0])], [], gens)
-        mod = LogModule("D", 0, arr, mult, gens, res, res.betti(),
-                        free_module_hilbert(nvars, [0]), 0, 0)
-        modules[key] = mod
-        return mod
+        gens = (FreeModule(ell, [0]).basis_element(0),)
+        betti = BettiTable({(0, 0): 1})
+    else:
+        gens, betti = _resolve_dp(arr, mult, p)
+    mod = LogModule("D", p, gens, betti, betti.hilbert_series(ell))
+    modules[key] = mod
+    return mod
 
+
+def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
+    """Minimal generators and Betti table of D^p for p >= 1, certified:
+    the resolution audit, the membership audit, pd D^p <= l - 2 for
+    0 < p < l, and reg D^p <= |m| - l + p when A is essential."""
+    ell = nvars = arr.ell
     cols = _subset_index(ell, p)
     rows = _constraint_rows(arr, p)
     source = FreeModule(nvars, [0] * len(cols))
@@ -141,14 +153,12 @@ def derivation_module(arr: Arrangement, mult: Multiplicity,
     raw = kernel_of_map(columns, source, target, relations)
     res = minimal_free_resolution(raw, source)
     res.audit()
-    gens = res.generators
+    gens = tuple(res.generators)
     betti = res.betti()
-    hilb = hilbert_series(res)
-    reg = res.reg
-    pd = res.pd
+    reg, pd = betti.reg, betti.pd
 
     _audit_membership(arr, mult, p, gens)
-    if 1 <= p <= ell - 1 and pd > ell - 2:
+    if p <= ell - 1 and pd > ell - 2:
         raise CertificateError(
             f"pd D^{p} = {pd} exceeds reflexivity bound {ell - 2}")
     if is_essential(arr):
@@ -156,10 +166,7 @@ def derivation_module(arr: Arrangement, mult: Multiplicity,
         if reg is not None and reg > n - ell + p:
             raise CertificateError(
                 f"regularity bound violated: reg D^{p} = {reg} > {n - ell + p}")
-
-    mod = LogModule("D", p, arr, mult, gens, res, betti, hilb, reg, pd)
-    modules[key] = mod
-    return mod
+    return gens, betti
 
 
 def _audit_membership(arr: Arrangement, mult: Multiplicity, p: int, gens):
@@ -210,12 +217,11 @@ def omega_module(arr: Arrangement, mult: Multiplicity, p: int) -> LogModule:
         raise StructuralError(f"order p={p} out of range 0..{ell}")
     dual = derivation_module(arr, mult, ell - p)
     n = mult.total
-    reg = None if dual.reg is None else dual.reg - n
-    mod = LogModule("Omega", p, arr, mult, dual.generators, dual.resolution,
-                    dual.betti.shifted(-n), dual.hilb.shift(-n), reg, dual.pd)
-    if is_essential(arr) and reg is not None and reg > -p:
+    mod = LogModule("Omega", p, dual.generators, dual.betti.shifted(-n),
+                    dual.hilb.shift(-n))
+    if is_essential(arr) and mod.reg is not None and mod.reg > -p:
         raise CertificateError(
-            f"regularity bound violated: reg Omega^{p} = {reg} > {-p}")
+            f"regularity bound violated: reg Omega^{p} = {mod.reg} > {-p}")
     return mod
 
 
@@ -303,8 +309,5 @@ def wedge_power_free(arr: Arrangement, mult: Multiplicity,
             minor = [[basis[k].component(i) for i in I] for k in K]
             comps.append(poly_det(minor) if minor else Polynomial.one(ell))
         gens.append(source.element(comps))
-    degrees = sorted(g.degree() for g in gens)
-    res = Resolution(ell, [FreeModule(ell, degrees)], [], gens)
-    return LogModule("D", p, arr, mult, gens, res, res.betti(),
-                     free_module_hilbert(ell, degrees),
-                     max(degrees) if degrees else None, 0)
+    betti = BettiTable(Counter((0, g.degree()) for g in gens))
+    return LogModule("D", p, tuple(gens), betti, betti.hilbert_series(ell))

@@ -40,8 +40,12 @@ class CheckReport:
                 "computed": self.computed, "witness": self.witness}
 
 
-def _poly_str(p: LaurentPolynomial, var: str = "x") -> str:
-    return p.render(var)
+def _verdict(ok: bool, applicable: bool = True) -> str:
+    """pass/fail when the identity's hypotheses hold; outside them a
+    success is beyond-theorem and a failure not-applicable."""
+    if applicable:
+        return "pass" if ok else "fail"
+    return "beyond-theorem" if ok else "not-applicable"
 
 
 def check_chi_specialization(arr: Arrangement,
@@ -54,10 +58,9 @@ def check_chi_specialization(arr: Arrangement,
     mult = Multiplicity.simple(arr.n)
     via_st = stpoly.char_polynomial_multi(arr, mult)
     via_lattice = lattice.characteristic_polynomial(arr)
-    verdict = "pass" if via_st == via_lattice else "fail"
-    return CheckReport(name, subject, verdict,
-                       claimed=_poly_str(via_lattice, "t"),
-                       computed=_poly_str(via_st, "t"))
+    return CheckReport(name, subject, _verdict(via_st == via_lattice),
+                       claimed=via_lattice.render("t"),
+                       computed=via_st.render("t"))
 
 
 def check_monic_degree(arr: Arrangement, mult: Multiplicity, d: int,
@@ -71,13 +74,9 @@ def check_monic_degree(arr: Arrangement, mult: Multiplicity, d: int,
     expected_deg = mult.total + arr.ell * (d - 1)
     tame, pd_table = logmod.is_tame(arr, mult)
     ok = st.degree() == expected_deg and st.coefficient(expected_deg) == 1
-    if not ok:
-        verdict = "fail" if tame else "not-applicable"
-    else:
-        verdict = "pass" if tame else "beyond-theorem"
-    return CheckReport(name, subject, verdict,
+    return CheckReport(name, subject, _verdict(ok, tame),
                        claimed=f"monic of degree {expected_deg}",
-                       computed=_poly_str(st),
+                       computed=st.render("x"),
                        witness={"tame": tame, "pd_table": pd_table})
 
 
@@ -95,11 +94,7 @@ def check_second_coefficient(arr: Arrangement, mult: Multiplicity,
     irreducible = is_irreducible(arr, mult)
     applicable = tame and irreducible and is_essential(arr)
     ok = coeff == arr.ell + a
-    if applicable:
-        verdict = "pass" if ok else "fail"
-    else:
-        verdict = "beyond-theorem" if ok else "not-applicable"
-    return CheckReport(name, subject, verdict,
+    return CheckReport(name, subject, _verdict(ok, applicable),
                        claimed=f"{arr.ell} + {a}",
                        computed=str(coeff),
                        witness={"tame": tame, "irreducible": irreducible,
@@ -124,7 +119,7 @@ def check_regularity_bounds(arr: Arrangement, mult: Multiplicity,
         ok = ok and d_ok and w_ok
         rows.append({"p": p, "reg_D": d.reg, "bound_D": n - ell + p,
                      "reg_Omega": w.reg, "bound_Omega": -p})
-    return CheckReport(name, subject, "pass" if ok else "fail",
+    return CheckReport(name, subject, _verdict(ok),
                        claimed="all 2(l+1) bounds",
                        computed=rows)
 
@@ -157,10 +152,10 @@ def check_free_formulas(arr: Arrangement, mult: Multiplicity,
     for d in exps:
         chi_prod = chi_prod * LaurentPolynomial({1: 1, 0: -d})
     ok = st.psi == prod and st_poly == st_prod and chi == chi_prod
-    return CheckReport(name, subject, "pass" if ok else "fail",
+    return CheckReport(name, subject, _verdict(ok),
                        claimed=f"products over exponents {list(exps)}",
-                       computed={"psi": str(st.psi), "st": _poly_str(st_poly),
-                                 "chi": _poly_str(chi, "t")})
+                       computed={"psi": str(st.psi), "st": st_poly.render("x"),
+                                 "chi": chi.render("t")})
 
 
 def check_low_degree_coefficients(arr: Arrangement, mult: Multiplicity, d: int,
@@ -179,11 +174,7 @@ def check_low_degree_coefficients(arr: Arrangement, mult: Multiplicity, d: int,
     got = [st.coefficient(i) for i in range(d + 2)]
     ok = got == expected
     applicable = tame and irreducible
-    if applicable:
-        verdict = "pass" if ok else "fail"
-    else:
-        verdict = "beyond-theorem" if ok else "not-applicable"
-    return CheckReport(name, subject, verdict,
+    return CheckReport(name, subject, _verdict(ok, applicable),
                        claimed=expected,
                        computed=[str(c) for c in got],
                        witness={"tame": tame, "irreducible": irreducible,
@@ -209,11 +200,7 @@ def check_st_algebra_equality(arr: Arrangement, mult: Multiplicity, d: int,
     st_list = st_coeffs + [0] * (len(hf) - len(st_coeffs))
     equal = [str(c) for c in st_list] == [str(c) for c in hf]
     tame, _ = logmod.is_tame(arr, mult)
-    if tame:
-        verdict = "pass" if equal else "fail"
-    else:
-        verdict = "beyond-theorem" if equal else "not-applicable"
-    return CheckReport(name, subject, verdict,
+    return CheckReport(name, subject, _verdict(equal, tame),
                        claimed=[str(c) for c in st_list],
                        computed=[str(c) for c in hf],
                        witness={"tame": tame, "eta": str(result.eta),
@@ -253,7 +240,7 @@ def check_product_rule(arr1: Arrangement, mult1: Multiplicity,
         same = lhs == rhs
         ok = ok and same
         rows.append({"p": p, "lhs": str(lhs), "rhs": str(rhs), "equal": same})
-    return CheckReport(name, subject, "pass" if ok else "fail",
+    return CheckReport(name, subject, _verdict(ok),
                        claimed="Hilbert-series convolution for all p",
                        computed=rows)
 

@@ -1,6 +1,7 @@
 """Logarithmic modules: minimal generators, resolutions, freeness,
 tameness, and the derivation/form duality."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -175,7 +176,7 @@ def test_audit_rejects_generator_outside_dp(p):
     bad = g.module.element(comps)
     first = next(list(h.coeffs) for h in arr.hyperplanes if any(h.coeffs[:p]))
     with pytest.raises(CertificateError) as exc:
-        logmod._audit_membership(arr, mult, p, gens[:-1] + [bad])
+        logmod._audit_membership(arr, mult, p, [*gens[:-1], bad])
     assert str(exc.value) == (f"membership audit failed for D^{p} generator "
                               f"at hyperplane {first}")
 
@@ -189,3 +190,16 @@ def test_repeated_module_is_reused_at_no_cost():
         assert logmod.derivation_module(arr, mult, 2) is first
         assert current.pairs == 71
     assert session.current() is not current     # the request has ended
+
+
+def test_cached_module_is_read_only():
+    # every caller in a request gets the same record, so none may change it
+    arr, mult = load("ex1")
+    with session.request():
+        d1 = logmod.derivation_module(arr, mult, 1)
+        assert logmod.derivation_module(arr, mult, 1) is d1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d1.generators = ()
+        assert isinstance(d1.generators, tuple)
+        with pytest.raises(TypeError):
+            d1.betti.counts[(0, 1)] = 2
