@@ -128,6 +128,29 @@ class Multiplicity:
 # ---------------------------------------------------------------------------
 # parsing / rendering
 
+def load(path):
+    """Read and parse an arrangement file; an unreadable or non-UTF-8 file
+    is a `ParseError` like any other malformed input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 "
+                         f"(invalid byte at offset {exc.start})")
+    return parse(text)
+
+
+def _decimal(token: str):
+    """The int spelled by ASCII digits after an optional '-', else None."""
+    digits = token.removeprefix("-")
+    try:
+        return int(token) if digits.isascii() and digits.isdigit() else None
+    except ValueError:          # longer than Python's int-conversion limit
+        return None
+
+
 def parse(text: str):
     """Parse the arrangement file format; returns (Arrangement, Multiplicity)."""
     ell = None
@@ -140,9 +163,9 @@ def parse(text: str):
         if parts[0] == "ell":
             if ell is not None:
                 raise ParseError("duplicate ell directive", line=lineno)
-            if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
+            ell = _decimal(parts[1]) if len(parts) == 2 else None
+            if ell is None:
                 raise ParseError("malformed ell directive", line=lineno)
-            ell = int(parts[1])
             if ell < 1:
                 raise ParseError("ell must be at least 1", line=lineno)
         elif parts[0] == "H":
@@ -151,10 +174,9 @@ def parse(text: str):
             mult = 1
             coeff_parts = parts[1:]
             if coeff_parts and coeff_parts[-1].startswith("m="):
-                mtxt = coeff_parts[-1][2:]
-                if not mtxt.isdigit() or int(mtxt) < 1:
+                mult = _decimal(coeff_parts[-1][2:])
+                if mult is None or mult < 1:
                     raise ParseError("malformed multiplicity", line=lineno)
-                mult = int(mtxt)
                 coeff_parts = coeff_parts[:-1]
             if len(coeff_parts) != ell:
                 raise ParseError(

@@ -4,24 +4,23 @@ Exit codes: 0 success, 1 check/genericity failure, 2 input error,
 3 resource budget exceeded.  Every command runs as one request
 (`session.request`): `--max-pairs` bounds all S-pairs of the request,
 and a D^p the request has already computed is reused at no cost.
-Budgets can also be set through the environment variables
-STLOG_MAX_PAIRS and STLOG_MAX_ETA_ATTEMPTS; flags win over the
-environment.
+Each input has one way in: arrangement files are read by
+`arrangement.load`, `--eta` by Python's own expression parser, and every
+setting is a flag with its default in the argument parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import functools
 import json
-import os
-import re
+import operator
 import sys
 
 from . import arrangement as arrmod
 from . import lattice as latmod
 from . import logmod, session, stpoly, verify
-from .arrangement import Multiplicity, parse
 from .exceptions import (CertificateError, GenericityNotFoundError,
                          NonGenericEtaError, ParseError, ResourceBudgetError,
                          StlogError)
@@ -32,92 +31,52 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _load_arrangement(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}")
-    return parse(text)
-
-
 # ---------------------------------------------------------------------------
-# eta expression parser: integer coefficients, variables x1..xl, ^ * + -
+# eta: integers, variables x1..xl, + - *, ^ with an integer exponent, ( )
 
-_TOKEN = re.compile(r"\s*(\d+|x\d+|\^|\*|\+|-|\(|\))")
+_ETA_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+            ast.Mult: operator.mul}
 
 
 def parse_eta(text: str, nvars: int) -> Polynomial:
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"bad character in eta at position {pos}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    tokens.append(None)     # end marker
-    idx = 0
+    """The polynomial an eta expression spells.  Python's parser reads it
+    (with ^ as the power operator); only the nodes of the grammar above
+    are turned into a `Polynomial`, and anything else is a `ParseError`."""
+    if "**" in text:
+        raise ParseError("eta uses ^ for powers, not **")
+    try:
+        tree = ast.parse(text.strip().replace("^", "**"), mode="eval")
+        return _eta_polynomial(tree.body, nvars)
+    except (SyntaxError, ValueError) as exc:
+        raise ParseError(f"malformed eta: {exc.args[0]}")
+    except (RecursionError, MemoryError):
+        raise ParseError("eta is nested too deeply")
 
-    def peek():
-        return tokens[idx]
 
-    def take():
-        nonlocal idx
-        t = tokens[idx]
-        idx += 1
-        return t
-
-    def atom() -> Polynomial:
-        t = take()
-        if t == "(":
-            e = expr()
-            if take() != ")":
-                raise ParseError("unbalanced parentheses in eta")
-            return e
-        if t is None:
-            raise ParseError("unexpected end of eta expression")
-        if t.isdigit():
-            return Polynomial.constant(int(t), nvars)
-        if t.startswith("x"):
-            i = int(t[1:])
-            if not 1 <= i <= nvars:
-                raise ParseError(f"variable {t} out of range 1..{nvars}")
-            return Polynomial.variable(i - 1, nvars)
-        raise ParseError(f"unexpected token {t!r} in eta")
-
-    def power() -> Polynomial:
-        base = atom()
-        if peek() == "^":
-            take()
-            e = take()
-            if e is None or not e.isdigit():
-                raise ParseError("exponent must be a non-negative integer")
-            return base ** int(e)
-        return base
-
-    def term() -> Polynomial:
-        sign = 1
-        while peek() in ("+", "-"):
-            if take() == "-":
-                sign = -sign
-        p = power()
-        while peek() == "*":
-            take()
-            p = p * power()
-        return p.scale(sign)
-
-    def expr() -> Polynomial:
-        # term() consumes its own leading sign, so +/- both reduce to addition
-        p = term()
-        while peek() in ("+", "-"):
-            p = p + term()
-        return p
-
-    result = expr()
-    if peek() is not None:
-        raise ParseError(f"trailing tokens in eta near {peek()!r}")
-    return result
+def _eta_polynomial(node, nvars: int) -> Polynomial:
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return Polynomial.constant(node.value, nvars)
+    if isinstance(node, ast.Name):
+        index = node.id[1:]
+        if not (node.id[0] == "x" and index.isascii() and index.isdigit()):
+            raise ParseError(f"unknown name {node.id!r} in eta")
+        if not 1 <= int(index) <= nvars:
+            raise ParseError(f"variable {node.id} out of range 1..{nvars}")
+        return Polynomial.variable(int(index) - 1, nvars)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op,
+                                                    (ast.UAdd, ast.USub)):
+        operand = _eta_polynomial(node.operand, nvars)
+        return -operand if isinstance(node.op, ast.USub) else operand
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        exp = node.right
+        if isinstance(exp, ast.Constant) and type(exp.value) is int:
+            return _eta_polynomial(node.left, nvars) ** exp.value
+        raise ParseError("exponent must be a non-negative integer")
+    if isinstance(node, ast.BinOp) and type(node.op) in _ETA_OPS:
+        return _ETA_OPS[type(node.op)](_eta_polynomial(node.left, nvars),
+                                       _eta_polynomial(node.right, nvars))
+    raise ParseError("eta allows only integers, x1..xl, + - * ^ and "
+                     "parentheses")
 
 
 # ---------------------------------------------------------------------------
@@ -279,30 +238,16 @@ def _cmd_essentialize(args, arr, mult):
 
 
 def _cmd_verify(args):
-    paths = args.input if args.suite == "file" else ()
-    report = verify.run_suite(args.suite, seed=args.seed, paths=paths)
-    text = verify.render_report(report)
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(_dump(report) + "\n")
-    if args.json:
-        print(_dump(report))
-    else:
-        print(text)
+    if args.input and args.suite:
+        raise ParseError("verify takes arrangement files or --suite, "
+                         "not both")
+    suite = "file" if args.input else args.suite or "paper"
+    report = verify.run_suite(suite, seed=args.seed, paths=args.input)
+    print(_dump(report) if args.json else verify.render_report(report))
     return 0 if report["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"environment variable {name} must be an integer")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -317,8 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", help="arrangement file")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--max-pairs", type=int, default=None,
-                       help="S-pair budget for Groebner computations")
+        p.add_argument("--max-pairs", type=int,
+                       default=session.DEFAULT_MAX_PAIRS,
+                       help="S-pair budget of the whole request "
+                            "(default %(default)s)")
         if p_flag:
             p.add_argument("-p", type=int, default=1,
                            help="exterior order (default 1)")
@@ -341,21 +288,27 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("st-bipoly", help="Solomon-Terao bi-polynomial"))
     p_alg = sub.add_parser("st-algebra", help="Solomon-Terao algebra")
     common(p_alg)
-    p_alg.add_argument("--order", type=int, default=2)
+    p_alg.add_argument("--order", type=int, default=2,
+                       help="order d+1 of the algebra (default 2)")
     p_alg.add_argument("--eta", default="random",
-                       help="'random' or an explicit polynomial in x1..xl")
-    p_alg.add_argument("--max-eta-attempts", type=int, default=None)
+                       help="'random', or a polynomial in x1..xl with "
+                            "integers, + - *, ^ and parentheses")
+    p_alg.add_argument("--max-eta-attempts", type=int, default=16,
+                       help="random etas to try before giving up "
+                            "(default %(default)s)")
     p_alg.add_argument("--seed", type=int, default=0,
                        help="seed for sampling a random eta (default 0)")
     common(sub.add_parser("essentialize", help="essential equivalent"))
     p_ver = sub.add_parser("verify", help="run the verification suite")
     common(p_ver, needs_input=False)
-    p_ver.add_argument("--suite", choices=("paper", "random", "file"),
-                       default="paper")
-    p_ver.add_argument("input", nargs="*", help="arrangement files (suite=file)")
-    p_ver.add_argument("--json-path", help="also write the JSON report here")
+    p_ver.add_argument("input", nargs="*", metavar="FILE",
+                       help="arrangement files to check (no --suite then)")
+    p_ver.add_argument("--suite", choices=("paper", "random"),
+                       help="named corpus when no file is given "
+                            "(default paper)")
     p_ver.add_argument("--seed", type=int, default=0,
-                       help="seed of the random corpus (default 0)")
+                       help="seed of the random corpus and of the random "
+                            "etas (default 0)")
     return parser
 
 
@@ -383,22 +336,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.max_pairs is None:
-            args.max_pairs = _env_int("STLOG_MAX_PAIRS",
-                                      session.DEFAULT_MAX_PAIRS)
-        if getattr(args, "max_eta_attempts", -1) is None:
-            args.max_eta_attempts = _env_int("STLOG_MAX_ETA_ATTEMPTS", 16)
         with session.request(args.max_pairs):
             if args.command == "verify":
                 return _cmd_verify(args)
-            arr, mult = _load_arrangement(args.input)
+            arr, mult = arrmod.load(args.input)
             return _DISPATCH[args.command](args, arr, mult)
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except (GenericityNotFoundError, NonGenericEtaError,
             CertificateError) as exc:
         print(f"check failure: {exc}", file=sys.stderr)

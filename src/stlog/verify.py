@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import fixtures, lattice, logmod, stpoly
 from .arrangement import (Arrangement, Hyperplane, Multiplicity, is_essential,
-                          is_irreducible, parse)
+                          is_irreducible, load)
 from .exceptions import StlogError
 from .groebner import poly_dimension
 from .ratpoly import LaurentPolynomial
@@ -276,15 +276,6 @@ def random_corpus(seed: int, count: int = 50, max_ell: int = 3,
     return out
 
 
-def file_corpus(paths):
-    out = []
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            arr, mult = parse(fh.read())
-        out.append((str(path), arr, mult))
-    return out
-
-
 def run_suite(suite: str = "paper", seed: int = 0, paths=()):
     """Run the applicable checks over a corpus; returns the full report.
 
@@ -296,7 +287,7 @@ def run_suite(suite: str = "paper", seed: int = 0, paths=()):
     elif suite == "random":
         corpus = random_corpus(seed)
     elif suite == "file":
-        corpus = file_corpus(paths)
+        corpus = [(str(path), *load(path)) for path in paths]
     else:
         raise StlogError(f"unknown suite {suite!r}")
 

@@ -41,6 +41,19 @@ def test_parse_errors_carry_line_numbers():
         parse("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("ell \u00b3\nH 1\n", "malformed ell"),           # a digit, not ASCII
+    ("ell --3\nH 1\n", "malformed ell"),
+    ("ell " + "9" * 5000 + "\n", "malformed ell"),    # beyond int() limit
+    ("ell 2\nH 1 0 m=\u00b3\n", "malformed multiplicity"),
+    ("ell 2\nH 1 0 m=" + "9" * 5000 + "\n", "malformed multiplicity")],
+    ids=["ell-superscript", "ell-double-minus", "ell-5000-digits",
+         "m-superscript", "m-5000-digits"])
+def test_parse_refuses_numbers_int_cannot_read(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+
+
 def test_parse_comments_and_multiplicity():
     arr, mult = parse("# header\nell 2\nH 1 0 m=3   # inline\nH 0 1\n")
     assert mult.values in ((3, 1), (1, 3))

@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stlog import verify
 from stlog.cli import main, parse_eta
 from stlog.exceptions import ParseError
 from stlog.fixtures import fixture_text
@@ -107,14 +110,40 @@ def test_st_algebra_explicit_eta(capsys, ex1_path):
     assert data["colength"] == 14
 
 
-def test_verify_named_suite(capsys, tmp_path):
-    json_path = tmp_path / "report.json"
-    code, out, _ = run(capsys, "verify", "--suite", "paper",
-                       "--json-path", str(json_path))
+def test_verify_named_suite(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "paper", "--json")
     assert code == 0
-    assert out.strip().endswith("PASS")
-    report = json.loads(json_path.read_text())
-    assert report["passed"] is True
+    report = json.loads(out)
+    assert report["suite"] == "paper" and report["passed"] is True
+
+
+def test_verify_files_report_equals_run_suite(capsys, ex1_path):
+    code, out, _ = run(capsys, "verify", ex1_path, "--json")
+    assert code == 0
+    expected = verify.run_suite("file", paths=[ex1_path])
+    assert json.loads(out) == json.loads(json.dumps(expected))
+    assert expected["suite"] == "file" and expected["items"] == 1
+
+
+def test_verify_files_with_suite_is_input_error(capsys, ex1_path):
+    code, out, err = run(capsys, "verify", ex1_path, "--suite", "paper")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:")
+
+
+def test_verify_missing_file_is_input_error(capsys, ex1_path):
+    code, _, err = run(capsys, "verify", ex1_path, "/no/such/file.arr")
+    assert code == 2
+    assert err.startswith("input error:") and "/no/such/file.arr" in err
+
+
+@pytest.mark.parametrize("command", ["chi", "verify"])
+def test_non_utf8_file_is_input_error(capsys, tmp_path, command):
+    path = tmp_path / "latin1.arr"
+    path.write_bytes("# caf\u00e9\nell 2\nH 1 0\nH 0 1\n".encode("latin-1"))
+    code, _, err = run(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("input error:") and "UTF-8" in err
 
 
 def test_essentialize(capsys, tmp_path):
@@ -153,13 +182,6 @@ def test_exit_code_genericity_budget(capsys, ex1_path):
                        "--max-eta-attempts", "0")
     assert code == 1
     assert "check failure" in err
-
-
-def test_budget_env_override(capsys, ex1_path, monkeypatch):
-    monkeypatch.setenv("STLOG_MAX_PAIRS", "1")
-    code, _, err = run(capsys, "betti", ex1_path, "-p", "2")
-    assert code == 3
-    assert "resource budget" in err
 
 
 # -- one S-pair budget per request ------------------------------------------
@@ -231,3 +253,87 @@ def test_parse_eta_errors():
         parse_eta("x1 ^ x2", 2)
     with pytest.raises(ParseError):
         parse_eta("x1 ? 3", 2)
+    # Python syntax outside the eta grammar
+    for text in ("x1**2", "x1 ^ -1", "x1^2.0", "x1/x2", "True", "2.5",
+                 "x1 < x2", "abs(x1)", "y", "x1.real", "-x0", ""):
+        with pytest.raises(ParseError):
+            parse_eta(text, 2)
+
+
+@pytest.mark.parametrize("eta", ["(" * 300 + "x1" + ")" * 300,
+                                 "-" * 100_000 + "x1"],
+                         ids=["300-parentheses", "100000-signs"])
+def test_over_nested_eta_is_input_error(capsys, ex1_path, eta):
+    code, _, err = run(capsys, "st-algebra", ex1_path, f"--eta={eta}")
+    assert code == 2
+    assert err.startswith("input error:")
+
+
+# Random expression trees over the documented grammar: each renders to
+# text with only the parentheses that precedence needs, plus random extra
+# ones, and evaluates to its polynomial by the same operations directly.
+
+NVARS = 3
+_PREC = {"+": 1, "-": 1, "*": 2, "neg": 3, "pos": 3, "^": 4}
+
+
+def _leaf():
+    return st.one_of(
+        st.integers(0, 10**6).map(lambda c: ("int", c)),
+        st.integers(1, NVARS).map(lambda i: ("var", i)))
+
+
+def _node(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*"), children, children),
+        st.tuples(st.sampled_from(["neg", "pos"]), children),
+        st.tuples(st.just("^"), children, st.integers(0, 3)),
+        st.tuples(st.just("paren"), children))
+
+
+def _render(tree) -> tuple[str, int]:
+    """Text of `tree` and the precedence of its outermost operator."""
+    kind = tree[0]
+    if kind == "int":
+        return str(tree[1]), 5
+    if kind == "var":
+        return f"x{tree[1]}", 5
+    if kind == "paren":
+        return f"({_render(tree[1])[0]})", 5
+
+    def operand(sub, least):
+        text, prec = _render(sub)
+        return text if prec >= least else f"({text})"
+
+    prec = _PREC[kind]
+    if kind in ("neg", "pos"):
+        return ("-" if kind == "neg" else "+") + operand(tree[1], prec), prec
+    if kind == "^":
+        return f"{operand(tree[1], 5)}^{tree[2]}", prec
+    left, right = operand(tree[1], prec), operand(tree[2], prec + 1)
+    return f"{left} {kind} {right}", prec
+
+
+def _evaluate(tree) -> Polynomial:
+    kind = tree[0]
+    if kind == "int":
+        return Polynomial.constant(tree[1], NVARS)
+    if kind == "var":
+        return Polynomial.variable(tree[1] - 1, NVARS)
+    if kind in ("paren", "pos"):
+        return _evaluate(tree[1])
+    if kind == "neg":
+        return -_evaluate(tree[1])
+    if kind == "^":
+        return _evaluate(tree[1]) ** tree[2]
+    left, right = _evaluate(tree[1]), _evaluate(tree[2])
+    if kind == "+":
+        return left + right
+    return left - right if kind == "-" else left * right
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(_leaf(), _node, max_leaves=8))
+def test_parse_eta_matches_expression_tree(tree):
+    text, _ = _render(tree)
+    assert parse_eta(text, NVARS) == _evaluate(tree)
