@@ -182,9 +182,8 @@ def parse(text: str):
                 raise ParseError(
                     f"expected {ell} coefficients, got {len(coeff_parts)}",
                     line=lineno)
-            try:
-                coeffs = [int(c) for c in coeff_parts]
-            except ValueError:
+            coeffs = [_decimal(c) for c in coeff_parts]
+            if None in coeffs:
                 raise ParseError("non-integer coefficient", line=lineno)
             if not any(coeffs):
                 raise ParseError("zero row is not a hyperplane", line=lineno)

@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 check/genericity failure, 2 input error,
 and a D^p the request has already computed is reused at no cost.
 Each input has one way in: arrangement files are read by
 `arrangement.load`, `--eta` by Python's own expression parser, and every
-setting is a flag with its default in the argument parser.
+setting is a flag with its default in the argument parser.  A malformed
+command line (unknown flag, bad value, missing argument) is a
+`ParseError` like any other input error; only `--help` exits early.
 """
 
 from __future__ import annotations
@@ -249,8 +251,17 @@ def _cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose errors raise `ParseError` instead of
+    printing usage and exiting, so `main` reports them as input errors.
+    Subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="stlog",
         description="Exact invariants of hyperplane multiarrangements: "
                     "logarithmic modules, free resolutions, Solomon-Terao "
@@ -292,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="order d+1 of the algebra (default 2)")
     p_alg.add_argument("--eta", default="random",
                        help="'random', or a polynomial in x1..xl with "
-                            "integers, + - *, ^ and parentheses")
+                            "integers, + - *, ^ and parentheses; write one "
+                            "that starts with '-' as --eta=EXPR")
     p_alg.add_argument("--max-eta-attempts", type=int, default=16,
                        help="random etas to try before giving up "
                             "(default %(default)s)")
@@ -334,8 +346,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         with session.request(args.max_pairs):
             if args.command == "verify":
                 return _cmd_verify(args)

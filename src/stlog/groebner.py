@@ -11,11 +11,18 @@ relations produced by S-pairs that reduce to zero (Schreyer).  One
 reduction loop, `_reduce`, serves the engine, `normal_form`, `lift`
 and the reduced basis.
 
-Only an untracked engine skips S-pairs, by the Gebauer-Moeller criteria
-(Gebauer-Moeller, On an installation of Buchberger's algorithm, JSC
-1988): it needs a Groebner basis, not the syzygies.  A tracked engine
-processes every pair, because its syzygies are the pairs that reduce to
-zero.
+An engine skips the S-pairs that the Gebauer-Moeller criteria prove
+redundant (Gebauer-Moeller, On an installation of Buchberger's algorithm,
+JSC 1988), unless its caller asks for every pair.  For a Groebner basis
+this is the classical result.  For syzygies it holds because the
+criteria keep a generating set of the syzygies of the lead terms, and
+lifting such a set gives generators of Syz(G) (Schreyer), so a tracked
+engine's syzygies from the kept pairs still generate.  The coprime-lead
+criterion is the exception: it drops the Koszul syzygies, so only an
+untracked engine over an ideal uses it.  `kernel_of_map` and `lift`
+process every pair: their outputs are presentations read off the
+recorded syzygies and representations, which skipping would change
+(though not make wrong).
 
 A minimal free resolution builds each of its modules with one tracked
 engine (`_minimal_level`): the candidates are fed by increasing degree,
@@ -298,16 +305,19 @@ class GroebnerEngine:
     primitive integer vector gen_scales[i] * g_i.  With track=True every
     basis row carries its representation in terms of the stored
     generators, and S-pairs that reduce to zero are collected as
-    syzygies of them, so every pair is processed.  With track=False the
-    pairs the Gebauer-Moeller criteria prove redundant are dropped
-    (`_update_pairs`), since only the basis is wanted.  Every processed
-    S-pair is charged to the session that is current when the engine is
-    built.
+    syzygies of them.  The pairs the Gebauer-Moeller criteria prove
+    redundant are dropped (`_update_pairs`): the kept ones still give a
+    Groebner basis and, tracked, a generating set of the syzygies.  With
+    every_pair=True each pair is processed, for callers whose output is
+    one particular presentation.  Every processed S-pair is charged to
+    the session that is current when the engine is built.
     """
 
-    def __init__(self, module: FreeModule, track: bool = False):
+    def __init__(self, module: FreeModule, track: bool = False,
+                 every_pair: bool = False):
         self.module = module
         self.track = track
+        self.every_pair = every_pair
         self.session = session.current()
         self.rows: list[_Row] = []
         self._lead_index: dict[int, list] = {}  # comp -> [(lead rm, row_idx)]
@@ -326,7 +336,7 @@ class GroebnerEngine:
         self._lead_index.setdefault(comp, []).append((lrm, idx))
         new = [(tuple(map(max, other.lead[2], lrm)), j)
                for j, other in enumerate(self.rows[:-1]) if other.lead[1] == comp]
-        if not self.track:
+        if not self.every_pair:
             new = self._update_pairs(new, comp, lrm)
         shift = self.module.shifts[comp]
         for lcm_rm, j in new:
@@ -341,11 +351,15 @@ class GroebnerEngine:
 
         A pending pair (a, b) whose lcm lrm divides goes, unless its lcm
         equals that of (a, h) or (b, h); of the new pairs, one per minimal
-        lcm stays.  The coprime-lead criterion holds only for ideals: in
-        S^2 the pair of (x, y) and (y, x) has coprime leads and yields
-        (0, x^2 - y^2).  Every pair that justifies a deletion has an lcm
-        dividing the deleted one's, so no higher degree, and a completion
-        through any degree still yields the basis truncated there.
+        lcm stays.  Each dropped pair's lead syzygy is a combination of
+        kept ones.  The coprime-lead criterion holds only for the basis of
+        an ideal: its pairs reduce to zero, but their Koszul syzygies are
+        no combination of others (tracked, (x, y, z) would lose all of
+        them), and in S^2 the pair of (x, y) and (y, x) has coprime leads
+        and yields (0, x^2 - y^2).  Every pair that justifies a deletion
+        has an lcm dividing the deleted one's, so no higher degree, and a
+        completion through any degree still yields the basis truncated
+        there.
         """
         rows, pairs = self.rows, self._pairs
         pending = [entry for entry in pairs
@@ -356,7 +370,7 @@ class GroebnerEngine:
         if len(pending) < len(pairs):
             pairs[:] = pending
             heapq.heapify(pairs)
-        ideal = self.module.rank == 1
+        ideal = self.module.rank == 1 and not self.track
         degree = sum(lrm)
         kept, coprime = [], set()
         for k, (lcm_gh, j) in enumerate(new):
@@ -538,7 +552,7 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
     columns = list(columns)
     if len(columns) != source.rank:
         raise StructuralError("column count does not match source rank")
-    eng = GroebnerEngine(target, track=True)
+    eng = GroebnerEngine(target, track=True, every_pair=True)
     for j, col in enumerate(columns):
         eng.add_generator(col.vec, source.shifts[j])
     for (r, q) in (relations or []):
@@ -560,9 +574,10 @@ def _minimal_level(gens, module: FreeModule):
     kept list equals that of a full completion after every kept element.
     The last, full completion gives the syzygies of the kept generators.
 
-    Returns (kept, F, syzygies): F is the free module on the kept
-    generators (shifts = their degrees), and the syzygies are monic,
-    distinct elements of F.
+    Returns (kept, F, syzygies, engine): F is the free module on the kept
+    generators (shifts = their degrees), the syzygies are monic, distinct
+    elements of F, and the completed engine holds a Groebner basis of the
+    submodule.
     """
     ordered = sorted((g for g in gens if not g.is_zero()),
                      key=lambda g: (g.degree(), g.canonical_key()))
@@ -576,7 +591,7 @@ def _minimal_level(gens, module: FreeModule):
             eng.add_generator(g.vec, d)
     eng.complete()
     F = FreeModule(module.nvars, eng.gen_degrees)
-    return kept, F, _monic_unique(eng.original_syzygies(), F)
+    return kept, F, _monic_unique(eng.original_syzygies(), F), eng
 
 
 def minimalize_generators(gens, module: FreeModule | None = None):
@@ -599,7 +614,7 @@ def lift(v: ModuleElement, gens):
     None means v is not in the submodule generated by gens.
     """
     module = v.module
-    eng = GroebnerEngine(module, track=True)
+    eng = GroebnerEngine(module, track=True, every_pair=True)
     for g in gens:
         eng.add_generator(g.vec, 0 if g.is_zero() else g.degree())
     eng.complete()
@@ -643,12 +658,18 @@ class BettiTable:
     def shifted(self, k: int) -> "BettiTable":
         return BettiTable({(i, d + k): c for (i, d), c in self.counts.items()})
 
+    def hilbert_numerator(self) -> dict:
+        """{d: sum_i (-1)^i beta_{i,d}}, without zero coefficients: the
+        Hilbert series is this polynomial over (1-x)^nvars."""
+        num = Counter()
+        for (i, d), c in self.counts.items():
+            num[d] += (-1) ** i * c
+        return {d: c for d, c in num.items() if c}
+
     def hilbert_series(self, nvars: int) -> RationalSeries:
         """Alternating sum of shift generating functions over (1-x)^nvars."""
-        num = {}
-        for (i, d), c in self.counts.items():
-            num[d] = num.get(d, 0) + (-1) ** i * c
-        return RationalSeries(LaurentPolynomial(num), nvars)
+        return RationalSeries(LaurentPolynomial(self.hilbert_numerator()),
+                              nvars)
 
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.counts == other.counts
@@ -723,14 +744,16 @@ def minimal_free_resolution(gens,
     previous level's syzygies: minimal generators (graded Nakayama) and
     their syzygies from the same tracked engine.  Taking minimal
     generators at every level makes the resolution minimal; the
-    no-constant-entry invariant is auditable afterwards.
+    no-constant-entry invariant is auditable afterwards.  The Hilbert
+    series of the Betti table is certified against that of the level-0
+    basis's lead terms (`_certify_hilbert`).
     """
     gens = [g for g in gens if not g.is_zero()]
     if module is None:
         if not gens:
             raise StructuralError("empty generator list without explicit module")
         module = gens[0].module
-    gens0, F, syz = _minimal_level(gens, module)
+    gens0, F, syz, eng = _minimal_level(gens, module)
     modules = [F]
     diffs = []
     while syz:
@@ -740,10 +763,82 @@ def minimal_free_resolution(gens,
             raise CertificateError(
                 f"resolution longer than the Hilbert syzygy bound "
                 f"{module.nvars - 1}")
-        cols, F, syz = _minimal_level(syz, F)
+        cols, F, syz, _ = _minimal_level(syz, F)
         diffs.append(cols)
         modules.append(F)
-    return Resolution(module.nvars, modules, diffs, gens0)
+    res = Resolution(module.nvars, modules, diffs, gens0)
+    _certify_hilbert(res, eng.rows, module)
+    return res
+
+
+def _certify_hilbert(res: Resolution, rows, module: FreeModule):
+    """Check Hilb(M) from the resolution's Betti table against Hilb of the
+    lead module of the level-0 basis; a mismatch is a CertificateError.
+
+    A Groebner basis G of M has Hilb(M) = Hilb(LT(G)) (Macaulay), and
+    LT(G) is one monomial ideal J_j per component, so over (1-t)^n the
+    numerator is the sum over components of t^{s_j} (1 - N(J_j)), with
+    Hilb(S/J) = N(J) / (1-t)^n.  Neither side uses the other's data: the
+    Betti table comes from every level's syzygies, the leads from the
+    level-0 basis alone.
+    """
+    ideals = {}
+    for row in rows:
+        _, comp, rm = row.lead
+        ideals.setdefault(comp, []).append(rm)
+    lead_num = Counter()
+    for comp, monos in ideals.items():
+        lead_num[module.shifts[comp]] += 1
+        for d, c in _quotient_numerator(_minimal_monomials(monos)).items():
+            lead_num[d + module.shifts[comp]] -= c
+    lead_num = {d: c for d, c in lead_num.items() if c}
+    betti_num = res.betti().hilbert_numerator()
+    if lead_num != betti_num:
+        n = module.nvars
+        raise CertificateError(
+            f"Hilbert series of the resolution, "
+            f"{RationalSeries(LaurentPolynomial(betti_num), n)}, differs from "
+            f"that of the level-0 lead module, "
+            f"{RationalSeries(LaurentPolynomial(lead_num), n)}")
+
+
+def _minimal_monomials(monos):
+    """The minimal generators among the exponent tuples monos."""
+    out = []
+    for m in sorted(set(monos), key=sum):
+        if not any(all(map(le, k, m)) for k in out):
+            out.append(m)
+    return out
+
+
+def _quotient_numerator(gens):
+    """N(J) as {degree: coefficient}, where Hilb(S/J) = N(J) / (1-t)^n for
+    the monomial ideal J minimally generated by the exponent tuples gens.
+
+    Pairwise coprime generators give N = prod (1 - t^deg m).  Otherwise
+    the pivot is a variable x_i that divides the most generators, and the
+    exact sequence 0 -> S/(J : x_i)(-1) -> S/J -> S/(J + x_i) -> 0 gives
+    N(J) = N(J + x_i) + t N(J : x_i) (Bigatti, Computation of Hilbert-
+    Poincare series, JPAA 1997).  Both ideals have a smaller sum of
+    generator degrees, so the recursion ends.
+    """
+    divides = Counter(i for m in gens for i, e in enumerate(m) if e)
+    pivot = [i for i, count in divides.most_common(1) if count > 1]
+    if not pivot:
+        num = Counter({0: 1})
+        for m in gens:
+            d = sum(m)
+            for k, c in list(num.items()):
+                num[k + d] -= c
+        return num
+    i = pivot[0]
+    x_i = tuple(int(j == i) for j in range(len(gens[0])))
+    num = _quotient_numerator([x_i] + [m for m in gens if not m[i]])
+    colon = _minimal_monomials(m[:i] + (max(m[i] - 1, 0),) + m[i + 1:]
+                               for m in gens)
+    for k, c in _quotient_numerator(colon).items():
+        num[k + 1] += c
+    return num
 
 
 def hilbert_series(res: Resolution) -> RationalSeries:

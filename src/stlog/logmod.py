@@ -131,8 +131,9 @@ def derivation_module(arr: Arrangement, mult: Multiplicity,
 
 def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
     """Minimal generators and Betti table of D^p for p >= 1, certified:
-    the resolution audit, the membership audit, pd D^p <= l - 2 for
-    0 < p < l, and reg D^p <= |m| - l + p when A is essential."""
+    the resolution's own certificates and audit (their errors name D^p),
+    the membership audit, pd D^p <= l - 2 for 0 < p < l, and
+    reg D^p <= |m| - l + p when A is essential."""
     ell = nvars = arr.ell
     cols = _subset_index(ell, p)
     rows = _constraint_rows(arr, p)
@@ -151,8 +152,11 @@ def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
     relations = [(r, powers[hi]) for r, (hi, _) in enumerate(rows)]
 
     raw = kernel_of_map(columns, source, target, relations)
-    res = minimal_free_resolution(raw, source)
-    res.audit()
+    try:
+        res = minimal_free_resolution(raw, source)
+        res.audit()
+    except CertificateError as exc:
+        raise CertificateError(f"D^{p}: {exc}") from exc
     gens = tuple(res.generators)
     betti = res.betti()
     reg, pd = betti.reg, betti.pd

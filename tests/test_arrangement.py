@@ -46,9 +46,13 @@ def test_parse_errors_carry_line_numbers():
     ("ell --3\nH 1\n", "malformed ell"),
     ("ell " + "9" * 5000 + "\n", "malformed ell"),    # beyond int() limit
     ("ell 2\nH 1 0 m=\u00b3\n", "malformed multiplicity"),
-    ("ell 2\nH 1 0 m=" + "9" * 5000 + "\n", "malformed multiplicity")],
+    ("ell 2\nH 1 0 m=" + "9" * 5000 + "\n", "malformed multiplicity"),
+    ("ell 2\nH 1_0 \u0663\n", "line 2: non-integer coefficient"),
+    ("ell 2\nH +1 0\n", "line 2: non-integer coefficient"),
+    ("ell 2\nH 1 " + "9" * 5000 + "\n", "line 2: non-integer coefficient")],
     ids=["ell-superscript", "ell-double-minus", "ell-5000-digits",
-         "m-superscript", "m-5000-digits"])
+         "m-superscript", "m-5000-digits", "H-underscore-arabic-indic",
+         "H-plus-sign", "H-5000-digits"])
 def test_parse_refuses_numbers_int_cannot_read(text, message):
     with pytest.raises(ParseError, match=message):
         parse(text)

@@ -9,7 +9,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stlog import groebner, linalg
@@ -19,7 +19,8 @@ from stlog.groebner import (FreeModule, ModuleElement, groebner_basis,
                             minimal_free_resolution, minimalize_generators,
                             normal_form, poly_dimension, quotient_colength,
                             syzygy_module)
-from stlog.ratpoly import Polynomial, mono_deg, mono_mul, mono_zero
+from stlog.ratpoly import (LaurentPolynomial, Polynomial, RationalSeries,
+                           mono_deg, mono_mul, mono_zero)
 
 
 def ring_element(module, poly):
@@ -169,12 +170,13 @@ def module_graded_piece(gens, module, d):
 
 
 @st.composite
-def submodules(draw):
+def submodules(draw, min_rank=2):
     """Random homogeneous generators of degree 1..2 of a submodule of a
-    free module of rank 2 or 3 with shifts 0..1, in 2 or 3 variables."""
+    free module of rank min_rank..3 with shifts 0..1, in 2 or 3
+    variables."""
     nvars = draw(st.integers(2, 3))
     module = FreeModule(nvars, draw(st.lists(st.integers(0, 1),
-                                             min_size=2, max_size=3)))
+                                             min_size=min_rank, max_size=3)))
     gens = []
     for _ in range(draw(st.integers(2, 4))):
         d = draw(st.integers(1, 2))
@@ -327,7 +329,7 @@ def test_truncated_minimalization_matches_greedy_oracle(data):
     res = minimal_free_resolution(gens, module)
     assert res.generators == expected
     res.audit()
-    kept, F, syz = groebner._minimal_level(gens, module)
+    kept, F, syz, _ = groebner._minimal_level(gens, module)
     assert kept == expected
     assert F.shifts == tuple(g.degree() for g in kept)
     for s in syz:
@@ -415,6 +417,80 @@ def test_syzygies_of_fraction_generators_annihilate(data):
             assert total.is_zero()
 
 
+def equal_lcm_ideal():
+    """(x2^2 x3, x1^2 x3, x1^2 x2), which a level engine takes in this
+    order (by canonical key) as a, b, h: h's lead divides lcm(a, b) =
+    lcm(a, h), so the pending pair (a, b) must stay when the new pair
+    (a, h) goes for (b, h), or a syzygy is lost."""
+    module = FreeModule(3, [0])
+    x1, x2, x3 = variables(3)
+    return module, [ring_element(module, p)
+                    for p in (x2 * x2 * x3, x1 * x1 * x3, x1 * x1 * x2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(submodules(min_rank=1))
+@example(equal_lcm_ideal())
+def test_resolution_hilbert_function_matches_linear_algebra(sub):
+    # exactness oracle: the Hilbert function read off the Betti table of the
+    # minimal resolution is dim M_d, a rank of the graded piece in each
+    # degree d; a syzygy lost at any level changes the alternating sum
+    module, gens = sub
+    if not gens:
+        return
+    res = minimal_free_resolution(gens, module)
+    res.audit()
+    top = max(g.degree() for g in gens) + 3
+    hf = res.betti().hilbert_series(module.nvars).taylor_coefficients(top)
+    for d in range(top + 1):
+        _, rows = module_graded_piece(gens, module, d)
+        assert hf[d] == linalg.rank(rows)
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Exponent tuples, entries 0..2, of 0..4 monomials in 1..3 variables."""
+    nvars = draw(st.integers(1, 3))
+    monos = draw(st.lists(st.lists(st.integers(0, 2), min_size=nvars,
+                                   max_size=nvars).map(tuple), max_size=4))
+    return nvars, monos
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_ideals())
+def test_monomial_quotient_numerator_matches_linear_algebra(ideal):
+    # Hilb(S/J) = N(J) / (1-t)^n, expanded, against dim (S/J)_k by rank
+    nvars, monos = ideal
+    gens = [Polynomial(nvars, {m: Fraction(1)}) for m in monos]
+    num = groebner._quotient_numerator(groebner._minimal_monomials(monos))
+    series = RationalSeries(LaurentPolynomial(num), nvars)
+    top = 6
+    expected = hilbert_function_by_linear_algebra(gens, nvars, top)
+    assert series.taylor_coefficients(top) == [expected[k] for k in range(top + 1)]
+
+
+def test_lead_module_certificate_catches_a_dropped_basis_row(monkeypatch):
+    # the level-0 basis of (x, y, z) is its three generators; without one
+    # of them the lead ideal has two, and a Hilbert series the resolution's
+    # is not
+    module = FreeModule(3, [0])
+    gens = [ring_element(module, v) for v in variables(3)]
+    original = groebner._minimal_level
+    levels = []
+
+    def dropping(gens, ambient):
+        kept, F, syz, eng = original(gens, ambient)
+        if not levels:
+            del eng.rows[0]
+        levels.append(F)
+        return kept, F, syz, eng
+
+    monkeypatch.setattr(groebner, "_minimal_level", dropping)
+    with pytest.raises(CertificateError, match="level-0 lead module"):
+        minimal_free_resolution(gens, module)
+    assert len(levels) == 3         # the resolution itself was complete
+
+
 def test_resolution_past_hilbert_bound_is_a_certificate_error(monkeypatch):
     nvars = 2
     module = FreeModule(nvars, [0])
@@ -423,7 +499,7 @@ def test_resolution_past_hilbert_bound_is_a_certificate_error(monkeypatch):
     def endless(gens, ambient):
         # every level claims one generator with one nonzero syzygy
         F = FreeModule(nvars, [gens[0].degree()])
-        return gens[:1], F, [F.element([x])]
+        return gens[:1], F, [F.element([x])], None
 
     monkeypatch.setattr(groebner, "_minimal_level", endless)
     with pytest.raises(CertificateError, match="Hilbert syzygy bound"):

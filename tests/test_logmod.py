@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from stlog import logmod, session
+from stlog import groebner, logmod, session
 from stlog.arrangement import Multiplicity, parse
 from stlog.exceptions import CertificateError, StructuralError
 from stlog.fixtures import load
@@ -181,14 +181,35 @@ def test_audit_rejects_generator_outside_dp(p):
                               f"at hyperplane {first}")
 
 
+def test_dropped_basis_row_fails_the_hilbert_certificate_of_dp(monkeypatch):
+    # the level-0 engine's first row has a minimal lead; without it the lead
+    # module of D^2 is smaller than the module the resolution resolves
+    original = groebner._minimal_level
+    levels = []
+
+    def dropping(gens, ambient):
+        kept, F, syz, eng = original(gens, ambient)
+        if not levels:
+            del eng.rows[0]
+        levels.append(F)
+        return kept, F, syz, eng
+
+    monkeypatch.setattr(groebner, "_minimal_level", dropping)
+    arr, mult = load("ex1")
+    with session.request(), pytest.raises(CertificateError) as exc:
+        logmod.derivation_module(arr, mult, 2)
+    assert str(exc.value).startswith("D^2: Hilbert series of the resolution")
+    assert "level-0 lead module" in str(exc.value)
+
+
 def test_repeated_module_is_reused_at_no_cost():
-    # D^2 of ex2_B takes 71 S-pairs; a budget of 71 admits it exactly once
+    # D^2 of ex2_B takes 60 S-pairs; a budget of 60 admits it exactly once
     arr, mult = load("ex2_B")
-    with session.request(max_pairs=71) as current:
+    with session.request(max_pairs=60) as current:
         first = logmod.derivation_module(arr, mult, 2)
-        assert current.pairs == 71
+        assert current.pairs == 60
         assert logmod.derivation_module(arr, mult, 2) is first
-        assert current.pairs == 71
+        assert current.pairs == 60
     assert session.current() is not current     # the request has ended
 
 
