@@ -13,41 +13,35 @@ and the reduced basis.
 
 An engine skips the S-pairs that the Gebauer-Moeller criteria prove
 redundant (Gebauer-Moeller, On an installation of Buchberger's algorithm,
-JSC 1988), unless its caller asks for every pair.  For a Groebner basis
-this is the classical result.  For syzygies it holds because the
-criteria keep a generating set of the syzygies of the lead terms, and
-lifting such a set gives generators of Syz(G) (Schreyer), so a tracked
-engine's syzygies from the kept pairs still generate.  The coprime-lead
-criterion is the exception: it drops the Koszul syzygies, so only an
-untracked engine over an ideal uses it.  `kernel_of_map` and `lift`
-process every pair: their outputs are presentations read off the
-recorded syzygies and representations, which skipping would change
-(though not make wrong).
+JSC 1988), unless its caller asks for every pair.  For syzygies this
+holds because the criteria keep a generating set of the syzygies of the
+lead terms, whose lifts generate Syz(G) (Schreyer).  The coprime-lead
+criterion drops the Koszul syzygies, so only an untracked engine over an
+ideal uses it.  `kernel_of_map` and `lift` process every pair: their
+outputs are presentations, which skipping would change (not make wrong).
 
 A minimal free resolution builds each of its modules with one tracked
 engine (`_minimal_level`): the candidates are fed by increasing degree,
 each is kept only if it is not in the span of those kept before it
 (graded Nakayama), and the same engine, completed at the end, yields
-the syzygies of the kept generators, which are the next module's
-candidates.  The same degree truncation gives the Hilbert function of
-an Artinian quotient S/I (`quotient_colength`): one untracked engine is
-completed one degree at a time, and its standard monomials are counted
-until the first degree that has none.
+the syzygies of the kept generators, the next module's candidates.  The
+same degree truncation gives the Hilbert function of an Artinian
+quotient S/I (`quotient_colength`).
 
-Fractions appear only at the boundary: the public ModuleElement holds a
-flat dict {(component, monomial): Fraction}, with one per-component
-Polynomial view.  Inside the engine a term is stored as its own order
-key (see `_encode`) and a basis row is a primitive integer vector whose
+Fractions and tuples appear only at the boundary: the public
+ModuleElement holds a flat dict {(component, monomial): Fraction}.
+Inside the engine a term is one int, a packed exponent vector whose
+integer order is the module order (`ratpoly.PackedKeys`, after
+Monagan-Pearce), so a shift is one addition and a lead test one
+subtraction and a mask.  A basis row is a primitive integer vector whose
 representation vector shares its scale, with positive lead coefficient.
 Reduction is fraction-free (Geddes-Czapor-Labahn, Algorithms for
 Computer Algebra, ch. 10): to cancel a term, the remainder is multiplied
 by a nonzero integer instead of dividing the row by its lead coefficient.
-Every remainder, row and S-pair is therefore a nonzero rational multiple
-of the one the same run would hold over Q with monic rows.  Scaling
-changes no lead term and no zero pattern, so the reducer chosen at each
-step, the S-pair sequence and the monic outputs are exactly those of
-Fraction arithmetic, with one integer gcd per reduction step in place
-of one per coefficient operation.
+Scaling changes no lead term and no zero pattern, so the reducers, the
+S-pair sequence and the monic outputs are exactly those of Fraction
+arithmetic with monic rows, with one integer gcd per reduction step in
+place of one per coefficient operation.
 """
 
 from __future__ import annotations
@@ -57,13 +51,14 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import add, le, sub
+from operator import le
 from types import MappingProxyType
 
 from . import session
 from .exceptions import CertificateError, StructuralError
-from .ratpoly import (LaurentPolynomial, Polynomial, RationalSeries,
-                      mono_deg, mono_mul, mono_zero)
+from .ratpoly import (MAX_EXPONENT, LaurentPolynomial, PackedKeys, Polynomial,
+                      RationalSeries, degree_overflow, mono_deg, mono_mul,
+                      mono_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +100,7 @@ class FreeModule:
         for j, p in enumerate(components):
             if p.nvars != self.nvars:
                 raise StructuralError("component variable count mismatch")
-            for m, c in p.terms.items():
-                vec[(j, m)] = c
+            vec.update(((j, m), c) for m, c in p.terms.items())
         return ModuleElement(self, vec)
 
 
@@ -144,9 +138,7 @@ class ModuleElement:
         return ModuleElement(self.module, vec)
 
     def __sub__(self, other):
-        vec = dict(self.vec)
-        _iadd_scaled(vec, other.vec, Fraction(-1), mono_zero(self.module.nvars))
-        return ModuleElement(self.module, vec)
+        return self + -other
 
     def __neg__(self):
         return ModuleElement(self.module, {t: -c for t, c in self.vec.items()})
@@ -183,37 +175,23 @@ def _iadd_scaled(dst, src, c, mono):
 # ---------------------------------------------------------------------------
 # the engine's integer vectors
 #
-# A term (comp, mono) of a module with shifts is stored as its own order
-# key (-(deg mono + shifts[comp]), comp, mono[::-1]): the smallest key is
-# the largest term of the module order (higher degree first, then the
-# lower component, then grevlex), so min() picks the lead.  Multiplying
-# by x^s, kept reversed as s with degree ds, maps (nd, comp, rm) to
-# (nd - ds, comp, rm + s).  Representation vectors use the same keys over
-# the free module on the generators (shifts = generator degrees).
+# A term (comp, mono) of a module with shifts is the packed key of
+# (deg mono + shifts[comp], comp, mono) (`ratpoly.PackedKeys`), and so is
+# a term of a representation over the free module on the generators
+# (shifts = generator degrees).  Reduction never raises the top degree of
+# a vector, so an engine that bounds the degree of each vector it encodes
+# and of each S-pair keeps every exponent within its field.
 
-def _encode(vec, shifts):
-    """(k, ivec): ivec = k * vec as a primitive integer vector in internal
-    keys, for a flat dict vec {(comp, mono): rational}."""
-    den = lcm(*(c.denominator for c in vec.values()))
-    ivec = {(-(sum(m) + shifts[comp]), comp, m[::-1]):
-            c.numerator * (den // c.denominator) for (comp, m), c in vec.items()}
-    g = gcd(*ivec.values()) or 1
-    if g != 1:
-        for t in ivec:
-            ivec[t] //= g
-    return Fraction(den, g), ivec
-
-
-def _decode(ivec, scale):
+def _decode(ivec, scale, keys):
     """The flat dict {(comp, mono): Fraction} of ivec / scale."""
-    return {(comp, rm[::-1]): Fraction(c, scale) for (_, comp, rm), c in ivec.items()}
+    return {keys.term(t)[1:]: Fraction(c, scale) for t, c in ivec.items()}
 
 
-def _isub_scaled(dst, items, q, ds, s):
-    """dst -= q * x^s * (the terms in items), in place; s is reversed and
-    of degree ds."""
-    for (nd, comp, rm), c in items:
-        t = (nd - ds, comp, tuple(map(add, rm, s)))
+def _isub_scaled(dst, items, q, delta):
+    """dst -= q * x^s * (the terms in items), in place, where x^s shifts
+    a key by delta."""
+    for t, c in items:
+        t += delta
         v = dst.get(t, 0) - q * c
         if v:
             dst[t] = v
@@ -222,9 +200,9 @@ def _isub_scaled(dst, items, q, ds, s):
 
 
 class _Row:
-    __slots__ = ("vec", "lead", "lc", "rep")
+    __slots__ = ("vec", "lead", "lc", "rep", "comp", "mono")
 
-    def __init__(self, vec, rep=None):
+    def __init__(self, vec, rep, keys):
         """A basis row from an integer vector and its representation (or
         None): both divided by their joint content, with positive lead
         coefficient and the lead term first in vec."""
@@ -232,7 +210,8 @@ class _Row:
         g = gcd(*vec.values(), *(rep.values() if rep else ()))
         if vec[lead] < 0:
             g = -g
-        self.lead = lead    # (-degree, comp, reversed mono)
+        self.lead = lead
+        _, self.comp, self.mono = keys.term(lead)
         self.lc = vec[lead] // g
         self.vec = {lead: self.lc}
         self.vec.update((t, c // g) for t, c in vec.items())
@@ -241,36 +220,36 @@ class _Row:
 
 
 def _index_by_lead(rows):
-    """{comp: [(reversed lead mono, row index)]} for a list of rows."""
+    """{comp: [(lead key, row index)]} for a list of rows."""
     index = {}
     for idx, r in enumerate(rows):
-        index.setdefault(r.lead[1], []).append((r.lead[2], idx))
+        index.setdefault(r.comp, []).append((r.lead, idx))
     return index
 
 
-def _reduce(rem, rows, lead_index, rep=None, first=False):
+def _reduce(rem, rows, lead_index, keys, rep=None, first=False):
     """Fraction-free normal form of the integer vector rem against rows.
 
     rem is consumed.  To remove a term with coefficient c by a row with
     lead coefficient a, everything is multiplied by a/g, g = gcd(a, c),
     and c/g times the shifted row is subtracted.  Returns (out, scale)
-    with scale * rem = out + (an integer combination of rows).
-
-    rep, if given, is updated in place alongside: multiplied by the same
-    factors, minus the same multiples of the rows' representations.  So
-    if rep starts as the representation of rem, it ends as that of out;
-    if it starts empty, out = scale * rem + (the combination rep
-    describes).  With first=True the reduction stops at the first
-    irreducible term, and out holds that term alone.
+    with scale * rem = out + (an integer combination of rows).  rep, if
+    given, is updated in place alongside: multiplied by the same factors,
+    minus the same multiples of the rows' representations.  So if rep
+    starts as the representation of rem, it ends as that of out; if it
+    starts empty, out = scale * rem + (the combination rep describes).
+    With first=True the reduction stops at the first irreducible term,
+    and out holds that term alone.
     """
     out = {}
     scale = 1
+    guard, comp = keys.guard, keys.comp
     while rem:
         t = min(rem)
         c = rem.pop(t)
-        nd, comp, rm = t
-        for lrm, i in lead_index.get(comp, ()):
-            if all(map(le, lrm, rm)):
+        tg = t | guard
+        for lead, i in lead_index.get(comp(t), ()):
+            if (tg - lead) & guard == guard:
                 break
         else:
             out[t] = c
@@ -287,11 +266,10 @@ def _reduce(rem, rows, lead_index, rep=None, first=False):
                 for k in d:
                     d[k] *= f
         q = c // g
-        ds = row.lead[0] - nd
-        s = tuple(map(sub, rm, row.lead[2]))
-        _isub_scaled(rem, itertools.islice(row.vec.items(), 1, None), q, ds, s)
+        delta = t - lead
+        _isub_scaled(rem, itertools.islice(row.vec.items(), 1, None), q, delta)
         if rep is not None:
-            _isub_scaled(rep, row.rep.items(), q, ds, s)
+            _isub_scaled(rep, row.rep.items(), q, delta)
     return out, scale
 
 
@@ -310,7 +288,8 @@ class GroebnerEngine:
     Groebner basis and, tracked, a generating set of the syzygies.  With
     every_pair=True each pair is processed, for callers whose output is
     one particular presentation.  Every processed S-pair is charged to
-    the session that is current when the engine is built.
+    the session that is current when the engine is built.  A vector or
+    S-pair of degree above `cap` is a ResourceBudgetError (`_encode`).
     """
 
     def __init__(self, module: FreeModule, track: bool = False,
@@ -319,9 +298,11 @@ class GroebnerEngine:
         self.track = track
         self.every_pair = every_pair
         self.session = session.current()
+        self.keys = PackedKeys(module.nvars)
+        self.cap = MAX_EXPONENT + min([0, *module.shifts])  # see `_encode`
         self.rows: list[_Row] = []
-        self._lead_index: dict[int, list] = {}  # comp -> [(lead rm, row_idx)]
-        self._pairs: list = []                  # heap of (deg, i, j, lcm)
+        self._lead_index: dict[int, list] = {}  # comp -> [(lead key, row_idx)]
+        self._pairs: list = []                  # heap of (deg, i, j, lcm mono)
         self._pairs_done = 0
         self.gen_degrees: list[int] = []
         self.gen_scales: list[Fraction] = []
@@ -329,52 +310,48 @@ class GroebnerEngine:
 
     # -- basis growth --------------------------------------------------
     def _append_row(self, vec, rep):
-        row = _Row(vec, rep)
+        row = _Row(vec, rep, self.keys)
         idx = len(self.rows)
         self.rows.append(row)
-        _, comp, lrm = row.lead
-        self._lead_index.setdefault(comp, []).append((lrm, idx))
-        new = [(tuple(map(max, other.lead[2], lrm)), j)
-               for j, other in enumerate(self.rows[:-1]) if other.lead[1] == comp]
+        comp, lm = row.comp, row.mono
+        self._lead_index.setdefault(comp, []).append((row.lead, idx))
+        new = [(tuple(map(max, other.mono, lm)), j)
+               for j, other in enumerate(self.rows[:-1]) if other.comp == comp]
         if not self.every_pair:
-            new = self._update_pairs(new, comp, lrm)
+            new = self._update_pairs(new, comp, lm)
         shift = self.module.shifts[comp]
-        for lcm_rm, j in new:
-            heapq.heappush(self._pairs, (sum(lcm_rm) + shift, j, idx, lcm_rm))
+        for lcm_m, j in new:
+            heapq.heappush(self._pairs, (sum(lcm_m) + shift, j, idx, lcm_m))
         return idx
 
-    def _update_pairs(self, new, comp, lrm):
-        """Gebauer-Moeller criteria for the new lead lrm in component comp
+    def _update_pairs(self, new, comp, lm):
+        """Gebauer-Moeller criteria for the new lead lm in component comp
         (Becker-Weispfenning, Groebner Bases, UPDATE): drops the pending
         pairs it makes redundant and returns the new pairs (lcm, j) worth
-        keeping.
-
-        A pending pair (a, b) whose lcm lrm divides goes, unless its lcm
-        equals that of (a, h) or (b, h); of the new pairs, one per minimal
-        lcm stays.  Each dropped pair's lead syzygy is a combination of
-        kept ones.  The coprime-lead criterion holds only for the basis of
-        an ideal: its pairs reduce to zero, but their Koszul syzygies are
-        no combination of others (tracked, (x, y, z) would lose all of
-        them), and in S^2 the pair of (x, y) and (y, x) has coprime leads
-        and yields (0, x^2 - y^2).  Every pair that justifies a deletion
-        has an lcm dividing the deleted one's, so no higher degree, and a
-        completion through any degree still yields the basis truncated
-        there.
+        keeping.  A pending pair (a, b) whose lcm lm divides goes, unless
+        its lcm equals that of (a, h) or (b, h); of the new pairs, one per
+        minimal lcm stays.  Each dropped pair's lead syzygy is a
+        combination of kept ones.  The coprime-lead criterion holds only
+        for the basis of an ideal: tracked, its Koszul syzygies are no
+        combination of others, and in S^2 the pair of (x, y) and (y, x)
+        has coprime leads and yields (0, x^2 - y^2).  A pair justifying a
+        deletion has an lcm dividing the deleted one's, so a completion
+        through any degree still yields the basis truncated there.
         """
         rows, pairs = self.rows, self._pairs
         pending = [entry for entry in pairs
-                   if rows[entry[1]].lead[1] != comp
-                   or not all(map(le, lrm, entry[3]))
-                   or tuple(map(max, rows[entry[1]].lead[2], lrm)) == entry[3]
-                   or tuple(map(max, rows[entry[2]].lead[2], lrm)) == entry[3]]
+                   if rows[entry[1]].comp != comp
+                   or not all(map(le, lm, entry[3]))
+                   or tuple(map(max, rows[entry[1]].mono, lm)) == entry[3]
+                   or tuple(map(max, rows[entry[2]].mono, lm)) == entry[3]]
         if len(pending) < len(pairs):
             pairs[:] = pending
             heapq.heapify(pairs)
         ideal = self.module.rank == 1 and not self.track
-        degree = sum(lrm)
+        degree = sum(lm)
         kept, coprime = [], set()
         for k, (lcm_gh, j) in enumerate(new):
-            if ideal and sum(lcm_gh) == degree + sum(rows[j].lead[2]):
+            if ideal and sum(lcm_gh) == degree + sum(rows[j].mono):
                 coprime.add(j)      # kept only to cover the pairs above it
             elif any(all(map(le, other, lcm_gh))
                      for other, _ in itertools.chain(new[k + 1:], kept)):
@@ -386,7 +363,7 @@ class GroebnerEngine:
         """Reduce the integer vec, whose representation is rep (None
         untracked); keep the remainder as a new row, or record rep as a
         syzygy when it is 0."""
-        rem, _ = _reduce(vec, self.rows, self._lead_index, rep)
+        rem, _ = _reduce(vec, self.rows, self._lead_index, self.keys, rep)
         if rem:
             self._append_row(rem, rep)
         elif rep:
@@ -397,11 +374,31 @@ class GroebnerEngine:
         returns its index."""
         gi = len(self.gen_degrees)
         self.gen_degrees.append(degree)
-        k, ivec = _encode(vec, self.module.shifts)
+        rep = None
+        if self.track:
+            self.cap = min(self.cap, MAX_EXPONENT + degree)
+            rep = {self.keys.key(degree, gi, mono_zero(self.module.nvars)): 1}
+        k, ivec = self._encode(vec)
         self.gen_scales.append(k)
-        rep = {(-degree, gi, mono_zero(self.module.nvars)): 1} if self.track else None
         self._insert(ivec, rep)
         return gi
+
+    def _encode(self, vec):
+        """(k, ivec): ivec = k * vec as a primitive integer vector in packed
+        keys, for a flat dict vec {(comp, mono): rational}; a term of
+        degree above cap is a ResourceBudgetError."""
+        den = lcm(*(c.denominator for c in vec.values()))
+        ivec = {}
+        for (comp, m), c in vec.items():
+            d = sum(m) + self.module.shifts[comp]
+            if d > self.cap:
+                raise degree_overflow(d)
+            ivec[self.keys.key(d, comp, m)] = c.numerator * (den // c.denominator)
+        g = gcd(*ivec.values()) or 1
+        if g != 1:
+            for t in ivec:
+                ivec[t] //= g
+        return Fraction(den, g), ivec
 
     def complete(self, max_degree=None):
         """Process pending S-pairs (Buchberger), all of them or only those
@@ -410,23 +407,30 @@ class GroebnerEngine:
         while pairs and (max_degree is None or pairs[0][0] <= max_degree):
             self._pairs_done += 1
             self.session.charge_pair()
-            _, i, j, lcm_rm = heapq.heappop(pairs)
+            deg, i, j, lcm_m = heapq.heappop(pairs)
+            if deg > self.cap:
+                raise degree_overflow(deg)
             ri, rj = self.rows[i], self.rows[j]
-            si = tuple(map(sub, lcm_rm, ri.lead[2]))
-            sj = tuple(map(sub, lcm_rm, rj.lead[2]))
-            dsi, dsj = sum(si), sum(sj)
+            lcm_key = self.keys.key(deg, ri.comp, lcm_m)
+            di, dj = lcm_key - ri.lead, lcm_key - rj.lead
             # cofactors (a_j/g, -a_i/g) cancel the lead terms
             g = gcd(ri.lc, rj.lc)
             fi, fj = rj.lc // g, ri.lc // g
-            vec = {}
-            _isub_scaled(vec, ri.vec.items(), -fi, dsi, si)
-            _isub_scaled(vec, rj.vec.items(), fj, dsj, sj)
-            rep = None
-            if self.track:
-                rep = {}
-                _isub_scaled(rep, ri.rep.items(), -fi, dsi, si)
-                _isub_scaled(rep, rj.rep.items(), fj, dsj, sj)
+            vec, rep = {}, {} if self.track else None
+            for r, f, delta in ((ri, -fi, di), (rj, fj, dj)):
+                _isub_scaled(vec, r.vec.items(), f, delta)
+                if rep is not None:
+                    _isub_scaled(rep, r.rep.items(), f, delta)
             self._insert(vec, rep)
+
+    def interreduce(self):
+        """Tail-reduce every row of an untracked engine against the rows,
+        keeping its lead, and make it primitive again."""
+        for i, r in enumerate(self.rows):
+            tail = dict(itertools.islice(r.vec.items(), 1, None))
+            out, scale = _reduce(tail, self.rows, self._lead_index, self.keys)
+            out[r.lead] = r.lc * scale
+            self.rows[i] = _Row(out, None, self.keys)
 
     @property
     def done(self) -> bool:
@@ -437,8 +441,9 @@ class GroebnerEngine:
     def reduces_to_zero(self, vec) -> bool:
         """Whether the flat dict vec reduces to zero modulo the rows; stops
         at the first irreducible term."""
-        _, ivec = _encode(vec, self.module.shifts)
-        return not _reduce(ivec, self.rows, self._lead_index, first=True)[0]
+        _, ivec = self._encode(vec)
+        return not _reduce(ivec, self.rows, self._lead_index, self.keys,
+                           first=True)[0]
 
     def original_syzygies(self):
         """The recorded syzygies over the original generators, one at a
@@ -446,43 +451,39 @@ class GroebnerEngine:
         of a syzygy."""
         den = lcm(*(k.denominator for k in self.gen_scales))
         mult = [k.numerator * (den // k.denominator) for k in self.gen_scales]
+        comp = self.keys.comp
         for syz in self.syzygies:
-            yield {t: c * mult[t[1]] for t, c in syz.items()}
+            yield {t: c * mult[comp(t)] for t, c in syz.items()}
 
     def reduced_basis_vecs(self):
         """Deterministic reduced Groebner basis as monic flat dicts."""
-        rows = self.rows
         # keep rows whose lead is not divisible by another kept lead
-        order = sorted(range(len(rows)), key=lambda i: rows[i].lead, reverse=True)
         kept = []
-        for i in order:
-            _, comp, rm = rows[i].lead
-            if not any(k[1] == comp and all(map(le, k[2], rm)) for k in kept):
-                kept.append(rows[i].lead)
-        kept_rows = [r for r in rows if r.lead in kept]
+        for r in sorted(self.rows, key=lambda r: r.lead, reverse=True):
+            if not any(k.comp == r.comp and all(map(le, k.mono, r.mono))
+                       for k in kept):
+                kept.append(r)
         # tail-reduce each against the others
         out = []
-        for r in kept_rows:
-            others = [s for s in kept_rows if s is not r]
-            red, _ = _reduce(dict(r.vec), others, _index_by_lead(others))
+        for r in kept:
+            others = [s for s in kept if s is not r]
+            red, _ = _reduce(dict(r.vec), others, _index_by_lead(others),
+                             self.keys)
             if red:
                 out.append(red)
         out.sort(key=min, reverse=True)
-        return [_decode(v, v[min(v)]) for v in out]
+        return [_decode(v, v[min(v)], self.keys) for v in out]
 
 
 def _monic_unique(vecs, module: FreeModule):
     """The nonzero integer vecs (internal keys over module's shifts) as
     monic ModuleElements of module, first copy of each."""
-    out = []
-    seen = set()
-    for vec in vecs:
-        if not vec:
-            continue
-        el = ModuleElement(module, _decode(vec, vec[min(vec)]))
-        k = el.canonical_key()
-        if k not in seen:
-            seen.add(k)
+    out, seen = [], set()
+    keys = PackedKeys(module.nvars)
+    for vec in filter(None, vecs):
+        el = ModuleElement(module, _decode(vec, vec[min(vec)], keys))
+        if el.canonical_key() not in seen:
+            seen.add(el.canonical_key())
             out.append(el)
     return out
 
@@ -509,12 +510,12 @@ def groebner_basis(gens, module: FreeModule | None = None):
 
 def normal_form(v: ModuleElement, gb) -> ModuleElement:
     """Remainder of v modulo a Groebner basis gb."""
-    shifts = v.module.shifts
-    rows = [_Row(_encode(g.vec, shifts)[1]) for g in gb]
-    k, ivec = _encode(v.vec, shifts)
-    out, scale = _reduce(ivec, rows, _index_by_lead(rows))
+    eng = GroebnerEngine(v.module)      # for `_encode` only
+    rows = [_Row(eng._encode(g.vec)[1], None, eng.keys) for g in gb]
+    k, ivec = eng._encode(v.vec)
+    out, scale = _reduce(ivec, rows, _index_by_lead(rows), eng.keys)
     # scale * k * v = out + (a combination of gb)
-    return ModuleElement(v.module, _decode(out, scale * k))
+    return ModuleElement(v.module, _decode(out, scale * k, eng.keys))
 
 
 def syzygy_module(gens, module: FreeModule | None = None):
@@ -544,10 +545,9 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
 
     The relations enter with an empty representation, so the rows carry
     representation terms on the source coordinates only.  That projection
-    is linear, so it commutes with every rescaling and subtraction of the
-    reduction, and the reducers are chosen by row leads alone: each
+    is linear and the reducers are chosen by row leads alone, so each
     recorded syzygy is a positive multiple of the projection of the one
-    full representations would give, and the monic kernel is the same.
+    full representations would give: the monic kernel is the same.
     """
     columns = list(columns)
     if len(columns) != source.rank:
@@ -556,8 +556,7 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
     for j, col in enumerate(columns):
         eng.add_generator(col.vec, source.shifts[j])
     for (r, q) in (relations or []):
-        eng._insert(_encode({(r, m): c for m, c in q.terms.items()},
-                            target.shifts)[1], {})
+        eng._insert(eng._encode({(r, m): c for m, c in q.terms.items()})[1], {})
     eng.complete()
     return _monic_unique(eng.original_syzygies(), source)
 
@@ -569,10 +568,9 @@ def _minimal_level(gens, module: FreeModule):
     key), and each is kept when it is not in the submodule generated by
     those kept before it (graded Nakayama).  Before a candidate of degree
     d is tested, the engine is completed only through degree d: S-pairs
-    of higher degree cannot change the basis in degrees <= d, so this
-    truncated basis decides membership of the candidate exactly, and the
-    kept list equals that of a full completion after every kept element.
-    The last, full completion gives the syzygies of the kept generators.
+    of higher degree cannot change the basis in degrees <= d, so the
+    truncated basis decides membership exactly.  The last, full
+    completion gives the syzygies of the kept generators.
 
     Returns (kept, F, syzygies, engine): F is the free module on the kept
     generators (shifts = their degrees), the syzygies are monic, distinct
@@ -618,16 +616,17 @@ def lift(v: ModuleElement, gens):
     for g in gens:
         eng.add_generator(g.vec, 0 if g.is_zero() else g.degree())
     eng.complete()
-    k, ivec = _encode(v.vec, module.shifts)
+    k, ivec = eng._encode(v.vec)
     rep = {}
-    rem, scale = _reduce(ivec, eng.rows, eng._lead_index, rep)
+    rem, scale = _reduce(ivec, eng.rows, eng._lead_index, eng.keys, rep)
     if rem:
         return None
     # 0 = scale * k * v + sum rep_i * gen_scales[i] * gens[i]
     total = -scale * k
     coeffs = [{} for _ in gens]
-    for (_, i, rm), c in rep.items():
-        coeffs[i][rm[::-1]] = c * eng.gen_scales[i] / total
+    for t, c in rep.items():
+        _, i, m = eng.keys.term(t)
+        coeffs[i][m] = c * eng.gen_scales[i] / total
     return [Polynomial(module.nvars, t) for t in coeffs]
 
 
@@ -784,8 +783,7 @@ def _certify_hilbert(res: Resolution, rows, module: FreeModule):
     """
     ideals = {}
     for row in rows:
-        _, comp, rm = row.lead
-        ideals.setdefault(comp, []).append(rm)
+        ideals.setdefault(row.comp, []).append(row.mono)
     lead_num = Counter()
     for comp, monos in ideals.items():
         lead_num[module.shifts[comp]] += 1
@@ -868,9 +866,11 @@ def quotient_colength(ideal_gens, nvars: int | None = None):
     divisors of a standard monomial are standard, so those of degree k
     are the standard multiples x_i * m of those of degree k - 1.  S/I is
     generated by 1 in degree 0, so (S/I)_{k+1} = S_1 (S/I)_k: once a
-    degree is empty, so is every higher one, and the count is complete.
-    Once no S-pair is pending the basis is complete, and S/I is finite
-    dimensional iff every variable has a pure-power lead.
+    degree is empty, so is every higher one.  Once no S-pair is pending,
+    S/I is finite dimensional iff every variable has a pure-power lead.
+    After each completion that added rows, every row is tail-reduced
+    (`interreduce`): the leads and pairs stay, and the rows keep the small
+    coefficients of a reduced basis instead of swelling.
     """
     ideal_gens = [g for g in ideal_gens if not g.is_zero()]
     if nvars is None:
@@ -885,12 +885,13 @@ def quotient_colength(ideal_gens, nvars: int | None = None):
     units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
     standard = {mono_zero(nvars)}
     hf = {}
-    k = 0
+    k = reduced = 0
     while True:
         eng.complete(max_degree=k)
-        # row leads are reversed monomials, and `standard` lives in the
-        # same reversed coordinates: degrees, divisibility and counts agree
-        leads = [r.lead[2] for r in eng.rows]
+        if len(eng.rows) > reduced:
+            eng.interreduce()
+            reduced = len(eng.rows)
+        leads = [r.mono for r in eng.rows]
         standard = {m for m in standard
                     if not any(all(map(le, lm, m)) for lm in leads)}
         if not standard:
@@ -907,6 +908,4 @@ def quotient_colength(ideal_gens, nvars: int | None = None):
 
 def poly_dimension(nvars: int, d: int) -> int:
     """dim_Q of the degree-d part of Q[x1..xl]."""
-    if d < 0:
-        return 0
-    return comb(nvars + d - 1, d)
+    return comb(nvars + d - 1, d) if d >= 0 else 0

@@ -31,7 +31,7 @@ from . import session
 from .exceptions import CertificateError, StructuralError
 from .groebner import (BettiTable, FreeModule, ModuleElement, kernel_of_map,
                        minimal_free_resolution)
-from .ratpoly import (IntegerDivisor, Polynomial, RationalSeries,
+from .ratpoly import (IntegerDivisor, PackedKeys, Polynomial, RationalSeries,
                       integer_terms)
 
 
@@ -181,21 +181,24 @@ def _audit_membership(arr: Arrangement, mult: Multiplicity, p: int, gens):
     divisible by alpha_H^{m(H)}.  The check uses only `ratpoly`, never the
     Groebner engine it audits: each alpha_H^{m(H)} becomes one primitive
     `IntegerDivisor`, each generator's components become integer dicts
-    with one joint scale, and s is an integer dict.  Scaling by a nonzero
-    integer does not change divisibility, and the quotient by a primitive
-    divisor is integral (Gauss's lemma), so the heap division may stop at
-    the first lead term that the divisor's lead does not divide or that
-    leaves an integer remainder: then s has a nonzero remainder, and the
-    generator is not in D^p.
+    with one joint scale, packed once into the divisors' keys, and s is
+    an integer dict in those keys.  Scaling by a nonzero integer does not
+    change divisibility, and the quotient by a primitive divisor is
+    integral (Gauss's lemma), so the heap division may stop at the first
+    lead term that the divisor's lead does not divide or that leaves an
+    integer remainder: then s has a nonzero remainder, and the generator
+    is not in D^p.
     """
     ell = arr.ell
     cols = _subset_index(ell, p)
     divisors = [IntegerDivisor(h.form() ** mult.values[hi])
                 for hi, h in enumerate(arr.hyperplanes)]
+    keys = PackedKeys(ell)
     for g in gens:
         comps = {I: {} for I in cols}
         for (ci, m), c in integer_terms(g.vec).items():
             comps[cols[ci]][m] = c
+        comps = {I: keys.keyed_terms(terms) for I, terms in comps.items()}
         for h, divisor in zip(arr.hyperplanes, divisors):
             for J in itertools.combinations(range(ell), p - 1):
                 s = {}
@@ -206,8 +209,8 @@ def _audit_membership(arr: Arrangement, mult: Multiplicity, p: int, gens):
                     I = tuple(sorted(J + (i,)))
                     if I.index(i) % 2:
                         c = -c
-                    for m, v in comps[I].items():
-                        s[m] = s.get(m, 0) + c * v
+                    for t, v in comps[I].items():
+                        s[t] = s.get(t, 0) + c * v
                 if not divisor.divides(s):
                     raise CertificateError(
                         f"membership audit failed for D^{p} generator at "

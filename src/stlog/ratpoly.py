@@ -19,9 +19,12 @@ shift to valuation 0.  Divisibility is decided in integers:
 `IntegerDivisor` makes the divisor primitive over Z, so by Gauss's
 lemma the quotient of an integral dividend is integral, and the first
 lead term that the divisor's lead does not divide, or that leaves a
-nonzero integer remainder, proves non-divisibility at once.  This
-module imports nothing from `groebner`: the membership audit built on
-it stays independent of the Groebner engine.
+nonzero integer remainder, proves non-divisibility at once.  Its terms
+are packed exponent vectors (`PackedKeys`): one int per term, so a
+shift is one addition and the lead test one subtraction and a mask.
+The Groebner engine imports the same packing; this module imports
+nothing from `groebner`, so the membership audit built on it stays
+independent of the engine it audits.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, le, sub
+from struct import Struct
 from typing import Iterable, Mapping
 
-from .exceptions import NonDivisibleError, StructuralError
+from .exceptions import NonDivisibleError, ResourceBudgetError, StructuralError
 
 Mono = tuple  # exponent tuple, one entry per variable
 
@@ -57,6 +61,86 @@ def _key(a: Mono):
     reverse lex (higher degree first, then the smaller last exponent).
     Keys multiply componentwise, like the monomials they encode."""
     return (-sum(a), a[::-1])
+
+
+# ---------------------------------------------------------------------------
+# packed term keys
+
+EXP_BITS = 16           # one exponent field: 15 value bits under a guard bit
+COMP_BITS = 24
+MAX_EXPONENT = (1 << (EXP_BITS - 1)) - 1
+
+
+def degree_overflow(degree: int) -> ResourceBudgetError:
+    return ResourceBudgetError(
+        f"degree {degree} exceeds {MAX_EXPONENT}, the largest exponent "
+        f"a packed term key holds")
+
+
+class PackedKeys:
+    """Terms in `nvars` variables packed into single ints (Monagan-Pearce,
+    Polynomial division using dynamic arrays, heaps, and packed exponent
+    vectors, CASC 2007).
+
+    The term (comp, m) of total degree d is the int with the fields
+    [-d | comp | m_{n-1} | ... | m_0], most significant first: COMP_BITS
+    for comp, EXP_BITS per exponent with the top bit, the guard, kept at
+    0, and -d as the signed rest above them.  Integer order is the order
+    of the tuples (-d, comp, reversed m): the smallest key is the largest
+    term (higher degree first, then the lower component, then grevlex),
+    so min() and heaps pick the lead.  Multiplying by x^s adds one delta,
+    the key of any multiple minus the key of the term, to every key.  A
+    lead key l of the same component divides t iff
+    ((t | guard) - l) & guard == guard: with every guard set no field
+    borrows from the next, and a guard stays set iff that exponent of t
+    is at least that of l.  An exponent above MAX_EXPONENT would spill
+    into a guard and break all three, so `key` refuses one, and callers
+    bound the degree of every term they derive by shifting.
+    """
+
+    __slots__ = ("comp_shift", "deg_shift", "guard", "mono_mask", "_fields")
+
+    def __init__(self, nvars: int):
+        self.comp_shift = EXP_BITS * nvars
+        self.deg_shift = self.comp_shift + COMP_BITS
+        self.mono_mask = (1 << self.comp_shift) - 1
+        self._fields = Struct(f"<{nvars}H")     # EXP_BITS = 16 bits each
+        self.guard = int.from_bytes(self._fields.pack(*[1 << (EXP_BITS - 1)] * nvars),
+                                    "little")
+
+    def key(self, degree: int, comp: int, m: Mono) -> int:
+        """The key of the term (comp, m) of total degree `degree`."""
+        if m and max(m) > MAX_EXPONENT:
+            raise degree_overflow(sum(m))
+        if not 0 <= comp < 1 << COMP_BITS:
+            raise ResourceBudgetError(
+                f"component {comp} does not fit a packed term key")
+        return ((comp << self.comp_shift)
+                | int.from_bytes(self._fields.pack(*m), "little")) \
+            - (degree << self.deg_shift)
+
+    def comp(self, key: int) -> int:
+        return (key >> self.comp_shift) & ((1 << COMP_BITS) - 1)
+
+    def keyed_terms(self, terms) -> dict:
+        """{key: c} for the nonzero terms {monomial: c} of a polynomial,
+        in component 0.  A degree above MAX_EXPONENT is refused, so every
+        term that a division derives from these, of no higher degree,
+        keeps its exponents within their fields."""
+        out = {}
+        for m, c in terms.items():
+            d = sum(m)
+            if d > MAX_EXPONENT:
+                raise degree_overflow(d)
+            if c:
+                out[self.key(d, 0, m)] = c
+        return out
+
+    def term(self, key: int):
+        """(degree, comp, m) of a key."""
+        return (-(key >> self.deg_shift), self.comp(key),
+                self._fields.unpack((key & self.mono_mask).to_bytes(
+                    self._fields.size, "little")))
 
 
 def _coerce(c) -> Fraction:
@@ -268,7 +352,8 @@ class Polynomial(_Sparse):
         self._check(divisor)
         if divisor.is_zero():
             raise StructuralError("division by zero polynomial")
-        (lnd, lr), lc, tail = _lead_and_tail(divisor.terms)
+        keyed = sorted((_key(m), c) for m, c in divisor.terms.items())
+        ((lnd, lr), lc), tail = keyed[0], keyed[1:]
         rem = {_key(m): c for m, c in self.terms.items()}
         heap = list(rem)
         heapify(heap)
@@ -286,7 +371,7 @@ class Polynomial(_Sparse):
             q = c / lc
             sd, sr = nd - lnd, tuple(map(sub, r, lr))
             quo[sr[::-1]] = q
-            for tnd, tr, tc in tail:
+            for (tnd, tr), tc in tail:
                 k = (tnd + sd, tuple(map(add, tr, sr)))
                 if k in rem:
                     rem[k] -= q * tc
@@ -297,7 +382,8 @@ class Polynomial(_Sparse):
 
     def is_divisible_by(self, divisor: "Polynomial") -> bool:
         self._check(divisor)
-        return IntegerDivisor(divisor).divides(integer_terms(self.terms))
+        divisor = IntegerDivisor(divisor)
+        return divisor.divides(divisor.keys.keyed_terms(integer_terms(self.terms)))
 
     # -- rendering
     def sorted_terms(self):
@@ -329,57 +415,50 @@ def integer_terms(terms):
     return {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
 
 
-def _lead_and_tail(terms):
-    """Split {monomial: coefficient} into the grevlex lead's key, its
-    coefficient, and the other terms as (-degree, reversed exponents,
-    coefficient)."""
-    keyed = sorted((_key(m), c) for m, c in terms.items())
-    (lead, lc), rest = keyed[0], keyed[1:]
-    return lead, lc, [(nd, r, c) for (nd, r), c in rest]
-
-
 class IntegerDivisor:
-    """A nonzero polynomial made primitive over Z, keyed once, for exact
-    divisibility tests of integer polynomials.
+    """A nonzero polynomial made primitive over Z, in packed keys, for
+    exact divisibility tests of integer polynomials.
 
     Since the divisor is primitive, Gauss's lemma makes the quotient of
     an integral multiple integral, so `divides` returns False at the
     first lead term whose monomial or coefficient the divisor's lead
-    does not divide.
+    does not divide.  Dividends come in the divisor's keys
+    (`PackedKeys.keyed_terms`, shared by all divisors in as many
+    variables), which refuse a degree whose derived terms could spill a
+    field.
     """
 
-    __slots__ = ("lead", "lead_coeff", "tail")
+    __slots__ = ("keys", "lead", "lead_coeff", "tail")
 
     def __init__(self, p: Polynomial):
         if p.is_zero():
             raise StructuralError("division by zero polynomial")
+        self.keys = PackedKeys(p.nvars)
         ints = integer_terms(p.terms)
         content = gcd(*ints.values())
-        self.lead, self.lead_coeff, self.tail = _lead_and_tail(
-            {m: c // content for m, c in ints.items()})
+        (self.lead, self.lead_coeff), *self.tail = sorted(
+            self.keys.keyed_terms({m: c // content for m, c in ints.items()}).items())
 
-    def divides(self, terms: Mapping[Mono, int]) -> bool:
-        """True iff the integer polynomial {monomial: int} is a multiple
-        of this divisor (the zero polynomial is)."""
-        rem = {_key(m): c for m, c in terms.items() if c}
+    def divides(self, rem: dict) -> bool:
+        """True iff the integer polynomial rem {key: int} is a multiple of
+        this divisor (the zero polynomial is); rem is consumed."""
         heap = list(rem)
         heapify(heap)
-        lnd, lr = self.lead
-        lc, tail = self.lead_coeff, self.tail
+        lead, lc, tail = self.lead, self.lead_coeff, self.tail
+        guard = self.keys.guard
         while heap:
-            key = heappop(heap)
-            c = rem.pop(key)
+            t = heappop(heap)
+            c = rem.pop(t)
             if not c:
                 continue
-            nd, r = key
-            if not all(map(le, lr, r)):
+            if ((t | guard) - lead) & guard != guard:
                 return False
             q, x = divmod(c, lc)
             if x:
                 return False
-            sd, sr = nd - lnd, tuple(map(sub, r, lr))
-            for tnd, tr, tc in tail:
-                k = (tnd + sd, tuple(map(add, tr, sr)))
+            delta = t - lead
+            for k, tc in tail:
+                k += delta
                 if k in rem:
                     rem[k] -= q * tc
                 else:

@@ -236,6 +236,15 @@ def test_max_pairs_bounds_the_whole_request(capsys, tmp_path, command,
     assert ("resource budget" in err) == (code == 3)
 
 
+def test_degree_beyond_a_packed_field_exits_3(capsys, tmp_path):
+    # x1^40000 is one term, but no packed exponent field holds it
+    path = tmp_path / "high.arr"
+    path.write_text("ell 2\nH 1 0 m=40000\nH 0 1\n")
+    code, _, err = run(capsys, "logmod", str(path), "-p", "1")
+    assert code == 3
+    assert "resource budget" in err and "degree 40000" in err
+
+
 def test_each_request_has_its_own_budget(capsys, ex2_B_path):
     for _ in range(2):
         code, _, err = run(capsys, "betti", ex2_B_path, "-p", "2",

@@ -13,14 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stlog import groebner, linalg
-from stlog.exceptions import CertificateError, StructuralError
-from stlog.groebner import (FreeModule, ModuleElement, groebner_basis,
-                            hilbert_series, kernel_of_map, lift,
-                            minimal_free_resolution, minimalize_generators,
-                            normal_form, poly_dimension, quotient_colength,
-                            syzygy_module)
-from stlog.ratpoly import (LaurentPolynomial, Polynomial, RationalSeries,
-                           mono_deg, mono_mul, mono_zero)
+from stlog.exceptions import (CertificateError, ResourceBudgetError,
+                              StructuralError)
+from stlog.groebner import (FreeModule, GroebnerEngine, ModuleElement,
+                            groebner_basis, hilbert_series, kernel_of_map,
+                            lift, minimal_free_resolution,
+                            minimalize_generators, normal_form, poly_dimension,
+                            quotient_colength, syzygy_module)
+from stlog.ratpoly import (COMP_BITS, MAX_EXPONENT, LaurentPolynomial,
+                           PackedKeys, Polynomial, RationalSeries, mono_deg,
+                           mono_mul, mono_zero)
 
 
 def ring_element(module, poly):
@@ -646,6 +648,76 @@ def test_quotient_colength_rejects_inhomogeneous_generator():
 def test_quotient_colength_of_unit_ideal_is_zero():
     # S/S = 0 is finite dimensional, of colength 0
     assert quotient_colength([Polynomial.one(2)], 2) == (0, {})
+
+
+def test_interreduce_keeps_leads_and_leaves_tails_irreducible():
+    x, y, z = variables(3)
+    eng = GroebnerEngine(FreeModule(3, [0]))
+    for g in (x * x + 3 * y * z, x * y - 2 * z * z, y * y + x * z):
+        eng.add_generator({(0, m): c for m, c in g.terms.items()}, 2)
+    eng.complete(max_degree=3)
+    leads = [r.lead for r in eng.rows]
+    eng.interreduce()
+    assert [r.lead for r in eng.rows] == leads
+    for r in eng.rows:
+        assert r.lc > 0 and r.vec[r.lead] == r.lc
+        for t in list(r.vec)[1:]:
+            tail = eng.keys.term(t)[2]
+            assert not any(all(map(int.__le__, s.mono, tail)) for s in eng.rows)
+
+
+# -- packed term keys -------------------------------------------------------
+
+FIELD_MAXIMA = st.one_of(st.just(MAX_EXPONENT), st.integers(0, MAX_EXPONENT))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_keys_agree_with_term_tuples(data):
+    """The packed key of (degree, comp, mono) against the tuple order
+    (-degree, comp, reversed mono) that the engine's order is defined by."""
+    n = data.draw(st.integers(1, 6))
+    keys = PackedKeys(n)
+    terms = st.tuples(
+        st.integers(-2 ** 40, 2 ** 40),
+        st.one_of(st.just((1 << COMP_BITS) - 1), st.integers(0, 3),
+                  st.integers(0, (1 << COMP_BITS) - 1)),
+        st.tuples(*[FIELD_MAXIMA] * n))
+    (d1, c1, m1), (d2, c2, m2) = data.draw(terms), data.draw(terms)
+    if data.draw(st.booleans()):
+        c2 = c1
+    k1, k2 = keys.key(d1, c1, m1), keys.key(d2, c2, m2)
+    assert keys.term(k1) == (d1, c1, m1)
+    assert (k1 < k2) == ((-d1, c1, m1[::-1]) < (-d2, c2, m2[::-1]))
+    assert (k1 == k2) == ((d1, c1, m1) == (d2, c2, m2))
+    # the lead test on the key of the same component
+    lead = keys.key(d2, c1, m2)
+    assert (((k1 | keys.guard) - lead) & keys.guard == keys.guard) == \
+        all(a <= b for a, b in zip(m2, m1))
+    # multiplying by x^s adds one delta, as long as every field holds
+    s = tuple(data.draw(st.integers(0, MAX_EXPONENT - e)) for e in m1)
+    ds = data.draw(st.integers(-5, 2 ** 20))
+    delta = keys.key(ds, 0, s) - keys.key(0, 0, mono_zero(n))
+    assert k1 + delta == keys.key(d1 + ds, c1, mono_mul(m1, s))
+
+
+def test_degree_beyond_a_packed_field_is_a_budget_error():
+    x, y = variables(2)
+    module = FreeModule(2, [0])
+    too_high = MAX_EXPONENT + 1
+    with pytest.raises(ResourceBudgetError, match=f"degree {too_high}"):
+        groebner_basis([ring_element(module, x ** too_high)], module)
+    # each generator fits, but not the lcm of their leads
+    gens = [x ** (MAX_EXPONENT - 1) * y, x * y ** (MAX_EXPONENT - 1)]
+    with pytest.raises(ResourceBudgetError,
+                       match=f"degree {2 * MAX_EXPONENT - 2}"):
+        groebner_basis([ring_element(module, g) for g in gens], module)
+    # x^MAX e_1 fits, but in degree MAX a term of e_0, shifted by -1, could not
+    shifted = FreeModule(2, [-1, 0])
+    with pytest.raises(ResourceBudgetError, match=f"degree {MAX_EXPONENT}"):
+        groebner_basis([shifted.element([Polynomial.zero(2), x ** MAX_EXPONENT])],
+                       shifted)
+    assert groebner_basis([ring_element(module, x ** MAX_EXPONENT)], module)
 
 
 def test_poly_dimension_matches_enumeration():

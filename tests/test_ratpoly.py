@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlog import ratpoly
-from stlog.exceptions import NonDivisibleError, StructuralError
+from stlog.exceptions import (NonDivisibleError, ResourceBudgetError,
+                              StructuralError)
 from stlog.ratpoly import (ONE_MINUS_X, BiPolynomial, LaurentPolynomial,
                            Polynomial, RationalSeries, exact_divide)
 
@@ -255,3 +256,15 @@ def test_bipoly_evaluate_x_matches_substitution():
 def test_poly_json_roundtrip():
     p = Polynomial(2, {(1, 2): Fraction(3, 2), (0, 0): Fraction(-1)})
     assert Polynomial.from_json(p.to_json(), 2) == p
+
+
+def test_integer_divisor_refuses_degrees_beyond_a_packed_field():
+    x = Polynomial.variable(0, 2)
+    y = Polynomial.variable(1, 2)
+    top = ratpoly.MAX_EXPONENT
+    with pytest.raises(ResourceBudgetError, match=f"degree {top + 1}"):
+        ratpoly.IntegerDivisor(x ** (top + 1))
+    with pytest.raises(ResourceBudgetError, match=f"degree {top + 1}"):
+        (x ** top * y).is_divisible_by(x - y)
+    assert (x ** top).is_divisible_by(x ** 2)
+    assert not (x ** (top - 1) * y).is_divisible_by(x ** top)

@@ -80,6 +80,14 @@ def test_st_algebra_equality():
     assert report.witness["equal"] is False     # both sides computed, differ
 
 
+def test_st_algebra_equality_at_order_3():
+    # the colength engine of a degree-3 eta over a rank-4 arrangement:
+    # without interreduction its coefficients swelled past 50 000 bits
+    arr, mult = load("ex2_A")
+    report = verify.check_st_algebra_equality(arr, mult, 2, seed=0)
+    assert report.verdict == "pass"
+
+
 def test_product_rule():
     b1, m1 = load("bool1")
     b2, m2 = load("bool2")
