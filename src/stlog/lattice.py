@@ -1,60 +1,66 @@
 """Intersection lattice, Moebius function, characteristic and Poincare
-polynomials of a simple central arrangement.
+polynomials of a simple central arrangement, in which every subset meets.
 
-Flats are canonicalized by the reduced row echelon form of the span of
-the forms vanishing on them, so set semantics are exact.  Everything is
-central, so every subset of hyperplanes has a nonempty intersection.
+A flat X is keyed by the hyperplanes containing it and keeps a primitive
+integer basis y_a of its subspace.  With k_a = alpha_H(y_a) and k_b != 0,
+the y_a k_b - y_b k_a (a != b) span X ∩ H, in integer arithmetic only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 
-from . import linalg
 from .arrangement import Arrangement
 from .ratpoly import LaurentPolynomial
 
 
 @dataclass(frozen=True)
 class Flat:
-    echelon: tuple          # rref rows spanning the forms through the flat
+    basis: tuple            # primitive integer vectors spanning the flat
     codim: int
     members: frozenset      # indices of hyperplanes containing the flat
 
     def __le__(self, other):
-        # reverse-inclusion order on subspaces: self <= other means
-        # self contains other as a subspace of V
+        # reverse-inclusion order: self contains other as a subspace of V
         return self.members <= other.members
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _cut(y, ka, yb, kb):
+    v = [kb * u - ka * w for u, w in zip(y, yb)]
+    g = gcd(*v)
+    return tuple(c // g for c in v)
+
+
 def intersection_lattice(arr: Arrangement):
-    """All intersections of subsets of hyperplanes, graded by codimension.
-
-    Returns the list of flats sorted by (codim, members); includes the
-    ambient space V as the empty intersection.
-    """
+    """All intersections of subsets of hyperplanes, V (the empty one)
+    included, as a list sorted by (codim, members)."""
     forms = [h.coeffs for h in arr.hyperplanes]
-
-    def close(rows):
-        ech, _ = linalg.rref(rows)
-        members = frozenset(i for i, f in enumerate(forms)
-                            if linalg.in_row_span(f, ech))
-        return Flat(tuple(ech), len(ech), members)
-
-    top = close([])
-    flats = {top.members: top}
-    frontier = [top]
-    while frontier:
-        new = []
-        for flat in frontier:
-            for i in range(arr.n):
-                if i in flat.members:
-                    continue
-                cand = close(list(flat.echelon) + [forms[i]])
-                if cand.members not in flats:
-                    flats[cand.members] = cand
-                    new.append(cand)
-        frontier = new
+    unit = [tuple(int(i == j) for j in range(arr.ell)) for i in range(arr.ell)]
+    flats = {frozenset(): Flat(tuple(unit), 0, frozenset())}
+    queue = list(flats.values())
+    for flat in queue:                  # grows by one codimension at a time
+        # X ∩ H_i is a child already found if H_i contains that child
+        covered = set(flat.members)
+        for i, form in enumerate(forms):
+            if i in covered:
+                continue
+            k = [_dot(form, y) for y in flat.basis]
+            b = next(a for a, ka in enumerate(k) if ka)
+            basis = tuple(_cut(y, ka, flat.basis[b], k[b]) for a, (y, ka)
+                          in enumerate(zip(flat.basis, k)) if a != b)
+            members = flat.members.union(
+                j for j, f in enumerate(forms) if j not in flat.members
+                and all(_dot(f, y) == 0 for y in basis))
+            covered |= members
+            if members not in flats:
+                flats[members] = Flat(basis, flat.codim + 1, members)
+                queue.append(flats[members])
     return sorted(flats.values(), key=lambda f: (f.codim, sorted(f.members)))
 
 
@@ -62,42 +68,36 @@ def moebius(flats):
     """Moebius table mu(X) from the defining top-down recursion."""
     table = {}
     for flat in sorted(flats, key=lambda f: f.codim):
-        if flat.codim == 0:
-            table[flat.members] = 1
-        else:
-            table[flat.members] = -sum(
-                table[g.members] for g in flats
-                if g.members < flat.members)
+        table[flat.members] = 1 if flat.codim == 0 else -sum(
+            table[g.members] for g in flats if g.members < flat.members)
     return table
+
+
+def _lattice_with_moebius(arr: Arrangement):
+    flats = intersection_lattice(arr)
+    return flats, moebius(flats)
 
 
 def characteristic_polynomial(arr: Arrangement) -> LaurentPolynomial:
     """chi(A;t) = sum mu(X) t^dim(X), as a polynomial in t."""
-    flats = intersection_lattice(arr)
-    mu = moebius(flats)
-    terms = {}
+    flats, mu = _lattice_with_moebius(arr)
+    terms = Counter()
     for flat in flats:
-        d = arr.ell - flat.codim
-        terms[d] = terms.get(d, 0) + mu[flat.members]
+        terms[arr.ell - flat.codim] += mu[flat.members]
     return LaurentPolynomial(terms)
 
 
 def poincare_polynomial(arr: Arrangement) -> LaurentPolynomial:
     """pi(A;t) = sum mu(X) (-t)^codim(X)."""
-    flats = intersection_lattice(arr)
-    mu = moebius(flats)
-    terms = {}
+    flats, mu = _lattice_with_moebius(arr)
+    terms = Counter()
     for flat in flats:
-        c = flat.codim
-        sign = 1 if c % 2 == 0 else -1
-        terms[c] = terms.get(c, 0) + sign * mu[flat.members]
+        terms[flat.codim] += (-1) ** flat.codim * mu[flat.members]
     return LaurentPolynomial(terms)
 
 
 def lattice_report(arr: Arrangement):
     """Flats grouped by codimension with Moebius values (JSON-friendly)."""
-    flats = intersection_lattice(arr)
-    mu = moebius(flats)
-    return [{"codim": f.codim,
-             "members": sorted(f.members),
+    flats, mu = _lattice_with_moebius(arr)
+    return [{"codim": f.codim, "members": sorted(f.members),
              "mu": mu[f.members]} for f in flats]

@@ -2,7 +2,8 @@
 fixtures, and `verify --suite paper`, must print exactly the JSON
 recorded in the benchmark's reference files, which these tests only
 read.  `st-bipoly`, `logmod -p 1`, `logmod -p 0`, `logmod -p 0 --omega`
-(D^l shifted by -|m|) and `betti -p 1 --omega` on the same fixtures must
+(D^l shifted by -|m|) and `betti -p 1 --omega` on the same fixtures, and
+`lattice` (flats, Moebius values and chi) on all eight fixtures, must
 print exactly the JSON in `golden-values.json` next to this file: it holds
 the values' own encodings (`BiPolynomial`, `LaurentPolynomial`,
 `Polynomial` and `RationalSeries.to_json`), which the bench's reference

@@ -114,6 +114,16 @@ def test_run_suite_paper_passes():
     assert text.endswith("PASS")
 
 
+def test_run_suite_random_passes():
+    # 50 arrangements whose Psi specializations must equal the lattice's chi
+    report = verify.run_suite("random", seed=0)
+    assert report["items"] == 50
+    assert report["failures"] == 0 and report["passed"]
+    chi = [c for c in report["checks"] if c["check"] == "chi-specialization"]
+    assert len(chi) == 50
+    assert all(c["verdict"] == "pass" for c in chi)
+
+
 def test_run_suite_file(tmp_path):
     path = tmp_path / "a.arr"
     path.write_text("ell 2\nH 1 0\nH 0 1\nH 1 1\n")
