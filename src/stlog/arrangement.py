@@ -59,10 +59,11 @@ class Arrangement:
     tuples) so equal arrangements serialize identically.
     """
 
-    __slots__ = ("ell", "hyperplanes")
+    __slots__ = ("ell", "hyperplanes", "_rank")
 
     def __init__(self, ell: int, hyperplanes):
         self.ell = int(ell)
+        self._rank = None       # `rank`, computed on first use
         hps = list(hyperplanes)
         for h in hps:
             if h.ell != self.ell:
@@ -225,7 +226,9 @@ def to_json(arr: Arrangement, mult: Multiplicity | None = None):
 # combinatorial operations
 
 def rank(arr: Arrangement) -> int:
-    return linalg.rank([h.coeffs for h in arr.hyperplanes])
+    if arr._rank is None:
+        arr._rank = linalg.rank([h.coeffs for h in arr.hyperplanes])
+    return arr._rank
 
 
 def is_essential(arr: Arrangement) -> bool:

@@ -106,7 +106,7 @@ def _cmd_lattice(args, arr, mult):
     if not mult.is_simple():
         raise ParseError("lattice requires a simple arrangement (m == 1)")
     report = latmod.lattice_report(arr)
-    chi = latmod.characteristic_polynomial(arr)
+    chi = latmod.characteristic_polynomial(arr, report)
     if args.json:
         print(_dump({"flats": report, "chi": chi.to_json()}))
     else:

@@ -22,22 +22,25 @@ outputs are presentations, which skipping would change (not make wrong).
 
 A minimal free resolution builds each of its modules with one tracked
 engine (`_minimal_level`): the candidates are fed by increasing degree,
-each is kept only if it is not in the span of those kept before it
-(graded Nakayama), and the same engine, completed at the end, yields
-the syzygies of the kept generators, the next module's candidates.  The
-same degree truncation gives the Hilbert function of an Artinian
-quotient S/I (`quotient_colength`).
+each is kept only if one reduction finds it outside the span of those
+kept before it (graded Nakayama), and the same engine, completed at the
+end, yields the syzygies of the kept generators, the next module's
+candidates.  The same degree truncation gives the Hilbert function of an
+Artinian quotient S/I (`quotient_colength`).
 
-Fractions and tuples appear only at the boundary: the public
-ModuleElement holds a flat dict {(component, monomial): Fraction}.
-Inside the engine a term is one int, a packed exponent vector whose
-integer order is the module order (`ratpoly.PackedKeys`, after
-Monagan-Pearce), so a shift is one addition and a lead test one
-subtraction and a mask.  A basis row is a primitive integer vector whose
-representation vector shares its scale, with positive lead coefficient.
-Reduction is fraction-free (Geddes-Czapor-Labahn, Algorithms for
-Computer Algebra, ch. 10): to cancel a term, the remainder is multiplied
-by a nonzero integer instead of dividing the row by its lead coefficient.
+Fractions and tuples appear only at the boundary: a ModuleElement reads
+as a flat dict {(component, monomial): Fraction}.  Inside the engine a
+term is one int, a packed exponent vector whose integer order is the
+module order (`ratpoly.PackedKeys`, after Monagan-Pearce), so a shift is
+one addition and a lead test one subtraction and a mask.  A basis row is
+a primitive integer vector whose representation vector shares its scale,
+with positive lead coefficient.  A syzygy leaves an engine as such a
+vector too, in the keys of the free module on the generators, and is
+the next engine's candidate as it is: only the kept generators and
+differentials are decoded to Fractions, when they are read.  Reduction
+is fraction-free (Geddes-Czapor-Labahn, Algorithms for Computer
+Algebra, ch. 10): to cancel a term, the remainder is multiplied by a
+nonzero integer instead of dividing the row by its lead coefficient.
 Scaling changes no lead term and no zero pattern, so the reducers, the
 S-pair sequence and the monic outputs are exactly those of Fraction
 arithmetic with monic rows, with one integer gcd per reduction step in
@@ -105,16 +108,27 @@ class FreeModule:
 
 
 class ModuleElement:
-    """Homogeneous (in all uses here) element of a graded free module."""
+    """Homogeneous (in all uses here) element of a graded free module.
+    One that an engine made (`syzygy_elements`) holds _packed = (its
+    primitive integer vector with positive lead, the PackedKeys of its
+    module) and decodes `vec`, the monic element, when first read."""
 
-    __slots__ = ("module", "vec")
+    __slots__ = ("module", "_vec", "_packed")
 
-    def __init__(self, module: FreeModule, vec):
+    def __init__(self, module: FreeModule, vec, packed=None):
         self.module = module
-        self.vec = {t: c for t, c in vec.items() if c}
+        self._packed = packed
+        self._vec = None if packed else {t: c for t, c in vec.items() if c}
+
+    @property
+    def vec(self):
+        if self._vec is None:
+            ivec, keys = self._packed
+            self._vec = _decode(ivec, ivec[min(ivec)], keys)
+        return self._vec
 
     def is_zero(self) -> bool:
-        return not self.vec
+        return not (self._packed or self._vec)
 
     def component(self, j: int) -> Polynomial:
         return Polynomial(self.module.nvars,
@@ -125,6 +139,8 @@ class ModuleElement:
 
     def degree(self):
         """Degree of a homogeneous element; None for zero."""
+        if self._packed:
+            return self._packed[1].term(next(iter(self._packed[0])))[0]
         if not self.vec:
             return None
         degs = {mono_deg(m) + self.module.shifts[i] for (i, m) in self.vec}
@@ -227,7 +243,7 @@ def _index_by_lead(rows):
     return index
 
 
-def _reduce(rem, rows, lead_index, keys, rep=None, first=False):
+def _reduce(rem, rows, lead_index, keys, rep=None):
     """Fraction-free normal form of the integer vector rem against rows.
 
     rem is consumed.  To remove a term with coefficient c by a row with
@@ -238,8 +254,6 @@ def _reduce(rem, rows, lead_index, keys, rep=None, first=False):
     minus the same multiples of the rows' representations.  So if rep
     starts as the representation of rem, it ends as that of out; if it
     starts empty, out = scale * rem + (the combination rep describes).
-    With first=True the reduction stops at the first irreducible term,
-    and out holds that term alone.
     """
     out = {}
     scale = 1
@@ -253,8 +267,6 @@ def _reduce(rem, rows, lead_index, keys, rep=None, first=False):
                 break
         else:
             out[t] = c
-            if first:
-                break
             continue
         row = rows[i]
         a = row.lc
@@ -279,9 +291,9 @@ def _reduce(rem, rows, lead_index, keys, rep=None, first=False):
 class GroebnerEngine:
     """Incremental Buchberger over a graded free module.
 
-    Generators enter as flat dicts over Q; generator i is stored as the
-    primitive integer vector gen_scales[i] * g_i.  With track=True every
-    basis row carries its representation in terms of the stored
+    Generator i enters as a flat dict over Q or as an integer vector, and
+    is stored as the integer vector gen_scales[i] * g_i.  With track=True
+    every basis row carries its representation in terms of the stored
     generators, and S-pairs that reduce to zero are collected as
     syzygies of them.  The pairs the Gebauer-Moeller criteria prove
     redundant are dropped (`_update_pairs`): the kept ones still give a
@@ -359,28 +371,39 @@ class GroebnerEngine:
             kept.append((lcm_gh, j))
         return [(lcm_gh, j) for lcm_gh, j in kept if j not in coprime]
 
-    def _insert(self, vec, rep):
+    def _insert(self, vec, rep, syzygy=True):
         """Reduce the integer vec, whose representation is rep (None
-        untracked); keep the remainder as a new row, or record rep as a
-        syzygy when it is 0."""
+        untracked); keep the remainder as a new row and return True, or
+        record rep as a syzygy (if syzygy) when it is 0."""
         rem, _ = _reduce(vec, self.rows, self._lead_index, self.keys, rep)
         if rem:
             self._append_row(rem, rep)
-        elif rep:
+        elif rep and syzygy:
             self.syzygies.append(rep)
+        return bool(rem)
 
     def add_generator(self, vec, degree):
         """Feed one original generator (flat dict) of the given degree;
         returns its index."""
+        k, ivec = self._encode(vec)
+        return self.add_vector(ivec, degree, k)
+
+    def add_vector(self, ivec, degree, scale, minimal=False):
+        """Feed the original generator ivec / scale (ivec an integer vector
+        in packed keys, consumed; scale > 0) of the given degree; returns
+        its index.  With minimal=True one that reduces to zero is dropped
+        instead and None returned."""
+        if degree > self.cap:
+            raise degree_overflow(degree)
         gi = len(self.gen_degrees)
+        rep = {self.keys.key(degree, gi, mono_zero(self.module.nvars)): 1} \
+            if self.track else None
+        if not self._insert(ivec, rep, syzygy=not minimal) and minimal:
+            return None
         self.gen_degrees.append(degree)
-        rep = None
+        self.gen_scales.append(scale)
         if self.track:
             self.cap = min(self.cap, MAX_EXPONENT + degree)
-            rep = {self.keys.key(degree, gi, mono_zero(self.module.nvars)): 1}
-        k, ivec = self._encode(vec)
-        self.gen_scales.append(k)
-        self._insert(ivec, rep)
         return gi
 
     def _encode(self, vec):
@@ -438,22 +461,20 @@ class GroebnerEngine:
         return not self._pairs
 
     # -- extraction ----------------------------------------------------
-    def reduces_to_zero(self, vec) -> bool:
-        """Whether the flat dict vec reduces to zero modulo the rows; stops
-        at the first irreducible term."""
-        _, ivec = self._encode(vec)
-        return not _reduce(ivec, self.rows, self._lead_index, self.keys,
-                           first=True)[0]
-
-    def original_syzygies(self):
-        """The recorded syzygies over the original generators, one at a
-        time: integer vectors in internal keys, each a positive multiple
-        of a syzygy."""
+    def syzygy_elements(self, module: FreeModule):
+        """The recorded syzygies over the original generators, first copy
+        of each, as elements of module (the free module on them) holding
+        primitive integer vectors with positive lead, equal for equal ones."""
         den = lcm(*(k.denominator for k in self.gen_scales))
         mult = [k.numerator * (den // k.denominator) for k in self.gen_scales]
-        comp = self.keys.comp
+        comp, distinct = self.keys.comp, {}
         for syz in self.syzygies:
-            yield {t: c * mult[comp(t)] for t, c in syz.items()}
+            vec = {t: c * mult[comp(t)] for t, c in syz.items()}
+            g = gcd(*vec.values()) * (-1 if vec[min(vec)] < 0 else 1)
+            vec = {t: c // g for t, c in vec.items()}
+            distinct.setdefault(frozenset(vec.items()), vec)
+        return [ModuleElement(module, None, (vec, self.keys))
+                for vec in distinct.values()]
 
     def reduced_basis_vecs(self):
         """Deterministic reduced Groebner basis as monic flat dicts."""
@@ -475,29 +496,15 @@ class GroebnerEngine:
         return [_decode(v, v[min(v)], self.keys) for v in out]
 
 
-def _monic_unique(vecs, module: FreeModule):
-    """The nonzero integer vecs (internal keys over module's shifts) as
-    monic ModuleElements of module, first copy of each."""
-    out, seen = [], set()
-    keys = PackedKeys(module.nvars)
-    for vec in filter(None, vecs):
-        el = ModuleElement(module, _decode(vec, vec[min(vec)], keys))
-        if el.canonical_key() not in seen:
-            seen.add(el.canonical_key())
-            out.append(el)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
 def groebner_basis(gens, module: FreeModule | None = None):
     """Reduced Groebner basis of the submodule generated by gens."""
     gens = list(gens)
-    if module is None:
-        if not gens:
-            raise StructuralError("empty generator list without explicit module")
-        module = gens[0].module
+    if module is None and not gens:
+        raise StructuralError("empty generator list without explicit module")
+    module = module or gens[0].module
     eng = GroebnerEngine(module, track=False)
     for g in gens:
         if g.module != module:
@@ -525,10 +532,9 @@ def syzygy_module(gens, module: FreeModule | None = None):
     (shifts = generator degrees) and each syzygy is a ModuleElement of F.
     """
     gens = list(gens)
-    if module is None:
-        if not gens:
-            raise StructuralError("empty generator list without explicit module")
-        module = gens[0].module
+    if module is None and not gens:
+        raise StructuralError("empty generator list without explicit module")
+    module = module or gens[0].module
     F = FreeModule(module.nvars, [0 if g.is_zero() else g.degree() for g in gens])
     return kernel_of_map(gens, F, module), F
 
@@ -558,7 +564,7 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
     for (r, q) in (relations or []):
         eng._insert(eng._encode({(r, m): c for m, c in q.terms.items()})[1], {})
     eng.complete()
-    return _monic_unique(eng.original_syzygies(), source)
+    return eng.syzygy_elements(source)
 
 
 def _minimal_level(gens, module: FreeModule):
@@ -567,43 +573,53 @@ def _minimal_level(gens, module: FreeModule):
     The nonzero candidates are taken by increasing (degree, canonical
     key), and each is kept when it is not in the submodule generated by
     those kept before it (graded Nakayama).  Before a candidate of degree
-    d is tested, the engine is completed only through degree d: S-pairs
-    of higher degree cannot change the basis in degrees <= d, so the
-    truncated basis decides membership exactly.  The last, full
-    completion gives the syzygies of the kept generators.
+    d is fed, the engine is completed only through degree d: S-pairs of
+    higher degree cannot change the basis in degrees <= d, so the
+    truncated basis decides membership exactly, in the one reduction that
+    also inserts a kept candidate.  The last, full completion gives the
+    syzygies of the kept generators.  A candidate g = ivec / k from an
+    engine is never decoded: its canonical key compares each g_t as the
+    integer g_t * L, for one common multiple L of the numerators of all k.
 
     Returns (kept, F, syzygies, engine): F is the free module on the kept
-    generators (shifts = their degrees), the syzygies are monic, distinct
+    generators (shifts = their degrees), the syzygies are distinct
     elements of F, and the completed engine holds a Groebner basis of the
     submodule.
     """
-    ordered = sorted((g for g in gens if not g.is_zero()),
-                     key=lambda g: (g.degree(), g.canonical_key()))
     eng = GroebnerEngine(module, track=True)
+    cands = []
+    for g in gens:
+        if g._packed and g.module == module:
+            ivec = g._packed[0]
+            cands.append((g.degree(), ivec, ivec[min(ivec)], g))
+        elif not g.is_zero():
+            k, ivec = eng._encode(g.vec)
+            cands.append((g.degree(), ivec, k, g))
+    common = lcm(*(cand[2].numerator for cand in cands))
+    term = eng.keys.term
+
+    def canonical(cand):
+        d, ivec, k, _ = cand
+        m = k.denominator * (common // k.numerator)
+        return d, sorted((term(t)[1:], c * m) for t, c in ivec.items())
+
     kept = []
-    for g in ordered:
-        d = g.degree()
+    for d, ivec, k, g in sorted(cands, key=canonical):
         eng.complete(max_degree=d)
-        if not eng.reduces_to_zero(g.vec):
+        if eng.add_vector(dict(ivec), d, k, minimal=True) is not None:
             kept.append(g)
-            eng.add_generator(g.vec, d)
     eng.complete()
     F = FreeModule(module.nvars, eng.gen_degrees)
-    return kept, F, _monic_unique(eng.original_syzygies(), F), eng
+    return kept, F, eng.syzygy_elements(F), eng
 
 
 def minimalize_generators(gens, module: FreeModule | None = None):
-    """Minimal homogeneous generating subset (graded Nakayama).
-
-    Processes candidates by increasing degree and keeps those not in the
-    submodule generated by the generators kept so far.
-    """
+    """Minimal homogeneous generating subset (graded Nakayama), taken by
+    increasing degree (`_minimal_level`)."""
     gens = [g for g in gens if not g.is_zero()]
-    if module is None:
-        if not gens:
-            return []
-        module = gens[0].module
-    return _minimal_level(gens, module)[0]
+    if module is None and not gens:
+        return []
+    return _minimal_level(gens, module or gens[0].module)[0]
 
 
 def lift(v: ModuleElement, gens):
@@ -717,20 +733,14 @@ class Resolution:
         """Check d∘d = 0 and minimality (no nonzero constant entries)."""
         for cols in self.diffs:
             for col in cols:
-                for p in col.components():
-                    for m, c in p.terms.items():
-                        if mono_deg(m) == 0 and c:
-                            raise CertificateError(
-                                "non-minimal resolution: constant entry")
-        for i in range(1, len(self.diffs)):
-            prev = self.diffs[i - 1]
-            for col in self.diffs[i]:
+                if any(mono_deg(m) == 0 for _, m in col.vec):
+                    raise CertificateError(
+                        "non-minimal resolution: constant entry")
+        for prev, cols in zip(self.diffs, self.diffs[1:]):
+            for col in cols:
                 acc = {}
-                for j, p in enumerate(col.components()):
-                    if p.is_zero():
-                        continue
-                    for m, c in p.terms.items():
-                        _iadd_scaled(acc, prev[j].vec, c, m)
+                for (j, m), c in col.vec.items():
+                    _iadd_scaled(acc, prev[j].vec, c, m)
                 if acc:
                     raise CertificateError("resolution differentials do not compose to zero")
 
@@ -748,10 +758,9 @@ def minimal_free_resolution(gens,
     basis's lead terms (`_certify_hilbert`).
     """
     gens = [g for g in gens if not g.is_zero()]
-    if module is None:
-        if not gens:
-            raise StructuralError("empty generator list without explicit module")
-        module = gens[0].module
+    if module is None and not gens:
+        raise StructuralError("empty generator list without explicit module")
+    module = module or gens[0].module
     gens0, F, syz, eng = _minimal_level(gens, module)
     modules = [F]
     diffs = []

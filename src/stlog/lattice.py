@@ -73,31 +73,27 @@ def moebius(flats):
     return table
 
 
-def _lattice_with_moebius(arr: Arrangement):
+def lattice_report(arr: Arrangement):
+    """Flats grouped by codimension with Moebius values (JSON-friendly)."""
     flats = intersection_lattice(arr)
-    return flats, moebius(flats)
+    mu = moebius(flats)
+    return [{"codim": f.codim, "members": sorted(f.members),
+             "mu": mu[f.members]} for f in flats]
 
 
-def characteristic_polynomial(arr: Arrangement) -> LaurentPolynomial:
-    """chi(A;t) = sum mu(X) t^dim(X), as a polynomial in t."""
-    flats, mu = _lattice_with_moebius(arr)
+def characteristic_polynomial(arr: Arrangement,
+                              report=None) -> LaurentPolynomial:
+    """chi(A;t) = sum mu(X) t^dim(X), as a polynomial in t, from the
+    `lattice_report` of arr, built here unless given."""
     terms = Counter()
-    for flat in flats:
-        terms[arr.ell - flat.codim] += mu[flat.members]
+    for entry in report or lattice_report(arr):
+        terms[arr.ell - entry["codim"]] += entry["mu"]
     return LaurentPolynomial(terms)
 
 
 def poincare_polynomial(arr: Arrangement) -> LaurentPolynomial:
     """pi(A;t) = sum mu(X) (-t)^codim(X)."""
-    flats, mu = _lattice_with_moebius(arr)
     terms = Counter()
-    for flat in flats:
-        terms[flat.codim] += (-1) ** flat.codim * mu[flat.members]
+    for entry in lattice_report(arr):
+        terms[entry["codim"]] += (-1) ** entry["codim"] * entry["mu"]
     return LaurentPolynomial(terms)
-
-
-def lattice_report(arr: Arrangement):
-    """Flats grouped by codimension with Moebius values (JSON-friendly)."""
-    flats, mu = _lattice_with_moebius(arr)
-    return [{"codim": f.codim, "members": sorted(f.members),
-             "mu": mu[f.members]} for f in flats]

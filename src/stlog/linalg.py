@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def rref(rows):
@@ -19,11 +19,7 @@ def rref(rows):
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
@@ -74,15 +70,8 @@ def kernel_basis(rows):
 
 def integerize(vector):
     """Scale a rational vector to a primitive integer vector."""
-    denoms = [x.denominator for x in vector]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(x * lcm) for x in vector]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    scale = lcm(*(x.denominator for x in vector))
+    ints = [x.numerator * (scale // x.denominator) for x in vector]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 

@@ -140,13 +140,10 @@ def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
     source = FreeModule(nvars, [0] * len(cols))
     target = FreeModule(nvars, [0] * len(rows))
     entries = _column_entries(arr, p, cols, rows)
-    columns = []
-    for ci in range(len(cols)):
-        vec = {}
-        for (r, cj), v in entries.items():
-            if cj == ci:
-                vec[(r, (0,) * nvars)] = Fraction(v)
-        columns.append(ModuleElement(target, vec))
+    vecs = [{} for _ in cols]
+    for (r, ci), v in entries.items():
+        vecs[ci][(r, (0,) * nvars)] = Fraction(v)
+    columns = [ModuleElement(target, vec) for vec in vecs]
     powers = [h.form() ** mult.values[hi]
               for hi, h in enumerate(arr.hyperplanes)]
     relations = [(r, powers[hi]) for r, (hi, _) in enumerate(rows)]

@@ -90,12 +90,13 @@ def st_bipoly(arr: Arrangement, mult: Multiplicity) -> STBiPoly:
     ell = arr.ell
     n = mult.total
     numerators = {}
-    acc = BiPolynomial.zero()
+    acc, power = BiPolynomial.zero(), BiPolynomial.one()   # (t(x-1)-1)^p
     for p in range(ell + 1):
         hilb = derivation_module(arr, mult, p).hilb
         f_p = hilb.numerator_for_power(ell)
         numerators[p] = f_p
-        acc = acc + BiPolynomial.from_laurent(f_p) * _T_FACTOR ** p
+        acc = acc + BiPolynomial.from_laurent(f_p) * power
+        power = power * _T_FACTOR
     # acc = Psi * (1-x)^l; divide each t-coefficient exactly
     terms = {}
     tdeg = acc.t_degree()

@@ -1,8 +1,10 @@
 """Golden CLI outputs: `tame`, `free` and `betti -p 2` on the five paper
 fixtures, and `verify --suite paper`, must print exactly the JSON
 recorded in the benchmark's reference files, which these tests only
-read.  `st-bipoly`, `logmod -p 1`, `logmod -p 0`, `logmod -p 0 --omega`
-(D^l shifted by -|m|) and `betti -p 1 --omega` on the same fixtures, and
+read.  `st-bipoly`, `logmod -p 0`, `logmod -p 1`, `logmod -p 2`,
+`logmod -p 0 --omega` (D^l shifted by -|m|) and `betti -p 1 --omega` on
+the same fixtures, `logmod -p 3` on `ex2_A`, `ex2_Aprime` and `ex2_B`
+(their generators pin the order in which candidates are kept), and
 `lattice` (flats, Moebius values and chi) on all eight fixtures, must
 print exactly the JSON in `golden-values.json` next to this file: it holds
 the values' own encodings (`BiPolynomial`, `LaurentPolynomial`,
