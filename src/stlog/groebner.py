@@ -110,8 +110,9 @@ class FreeModule:
 class ModuleElement:
     """Homogeneous (in all uses here) element of a graded free module.
     One that an engine made (`syzygy_elements`) holds _packed = (its
-    primitive integer vector with positive lead, the PackedKeys of its
-    module) and decodes `vec`, the monic element, when first read."""
+    primitive integer vector with positive lead, that lead, the
+    PackedKeys of its module) and decodes `vec`, the monic element, when
+    first read; one built from Fractions packs itself when first asked."""
 
     __slots__ = ("module", "_vec", "_packed")
 
@@ -123,12 +124,22 @@ class ModuleElement:
     @property
     def vec(self):
         if self._vec is None:
-            ivec, keys = self._packed
-            self._vec = _decode(ivec, ivec[min(ivec)], keys)
+            self._vec = _decode(*self._packed)
         return self._vec
 
+    def packed(self):
+        """(ivec, k): the primitive integer vector ivec = k * vec, k > 0, in
+        the packed keys of the module, where a term's degree counts the
+        shift of its component; encoded as a new engine over the module
+        would (`GroebnerEngine._encode`), once."""
+        if self._packed is None:
+            eng = GroebnerEngine(self.module)
+            k, ivec = eng._encode(self._vec)
+            self._packed = ivec, k, eng.keys
+        return self._packed[:2]
+
     def is_zero(self) -> bool:
-        return not (self._packed or self._vec)
+        return not (self._packed[0] if self._vec is None else self._vec)
 
     def component(self, j: int) -> Polynomial:
         return Polynomial(self.module.nvars,
@@ -139,25 +150,15 @@ class ModuleElement:
 
     def degree(self):
         """Degree of a homogeneous element; None for zero."""
-        if self._packed:
-            return self._packed[1].term(next(iter(self._packed[0])))[0]
+        if self._vec is None:
+            ivec, _, keys = self._packed
+            return keys.term(next(iter(ivec)))[0]
         if not self.vec:
             return None
         degs = {mono_deg(m) + self.module.shifts[i] for (i, m) in self.vec}
         if len(degs) != 1:
             raise StructuralError("element is not homogeneous")
         return degs.pop()
-
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        vec = dict(self.vec)
-        _iadd_scaled(vec, other.vec, Fraction(1), mono_zero(self.module.nvars))
-        return ModuleElement(self.module, vec)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return ModuleElement(self.module, {t: -c for t, c in self.vec.items()})
 
     def __eq__(self, other):
         return (isinstance(other, ModuleElement)
@@ -172,20 +173,6 @@ class ModuleElement:
     def __repr__(self):
         comps = ", ".join(str(p) for p in self.components())
         return f"({comps})"
-
-
-# ---------------------------------------------------------------------------
-# flat-vector helpers
-
-def _iadd_scaled(dst, src, c, mono):
-    """dst += c * x^mono * src, in place."""
-    for (comp, m), v in src.items():
-        t = (comp, mono_mul(m, mono))
-        s = dst.get(t, 0) + c * v
-        if s:
-            dst[t] = s
-        else:
-            dst.pop(t, None)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +460,7 @@ class GroebnerEngine:
             g = gcd(*vec.values()) * (-1 if vec[min(vec)] < 0 else 1)
             vec = {t: c // g for t, c in vec.items()}
             distinct.setdefault(frozenset(vec.items()), vec)
-        return [ModuleElement(module, None, (vec, self.keys))
+        return [ModuleElement(module, None, (vec, vec[min(vec)], self.keys))
                 for vec in distinct.values()]
 
     def reduced_basis_vecs(self):
@@ -577,9 +564,10 @@ def _minimal_level(gens, module: FreeModule):
     higher degree cannot change the basis in degrees <= d, so the
     truncated basis decides membership exactly, in the one reduction that
     also inserts a kept candidate.  The last, full completion gives the
-    syzygies of the kept generators.  A candidate g = ivec / k from an
-    engine is never decoded: its canonical key compares each g_t as the
-    integer g_t * L, for one common multiple L of the numerators of all k.
+    syzygies of the kept generators.  A candidate is read as g = ivec / k
+    (`ModuleElement.packed`), never decoded: its canonical key compares
+    each g_t as the integer g_t * L, for one common multiple L of the
+    numerators of all k.
 
     Returns (kept, F, syzygies, engine): F is the free module on the kept
     generators (shifts = their degrees), the syzygies are distinct
@@ -587,14 +575,9 @@ def _minimal_level(gens, module: FreeModule):
     submodule.
     """
     eng = GroebnerEngine(module, track=True)
-    cands = []
-    for g in gens:
-        if g._packed and g.module == module:
-            ivec = g._packed[0]
-            cands.append((g.degree(), ivec, ivec[min(ivec)], g))
-        elif not g.is_zero():
-            k, ivec = eng._encode(g.vec)
-            cands.append((g.degree(), ivec, k, g))
+    if any(g.module != module for g in gens):
+        raise StructuralError("generators live in different free modules")
+    cands = [(g.degree(), *g.packed(), g) for g in gens if not g.is_zero()]
     common = lcm(*(cand[2].numerator for cand in cands))
     term = eng.keys.term
 
@@ -730,17 +713,30 @@ class Resolution:
                                   for s in F.shifts))
 
     def audit(self):
-        """Check d∘d = 0 and minimality (no nonzero constant entries)."""
+        """Check d∘d = 0 and minimality (no nonzero constant entry, i.e. no
+        key with a zero monomial field) on the integer vectors of the
+        columns (`ModuleElement.packed`).  Column j = ivec_j / b_j of d_i is
+        composed as the integer vector ivec_j * L / b_j, for L the lcm of
+        the numerators of all b_j; a term c x^m e_j of a column of d_{i+1}
+        shifts it by its own key less the component j and its shift."""
+        keys = PackedKeys(self.nvars)
+        cs, ds, mono = keys.comp_shift, keys.deg_shift, keys.mono_mask
         for cols in self.diffs:
             for col in cols:
-                if any(mono_deg(m) == 0 for _, m in col.vec):
+                if any(not t & mono for t in col.packed()[0]):
                     raise CertificateError(
                         "non-minimal resolution: constant entry")
-        for prev, cols in zip(self.diffs, self.diffs[1:]):
+        for F, prev, cols in zip(self.modules[1:], self.diffs, self.diffs[1:]):
+            packed = [col.packed() for col in prev]
+            common = lcm(*(b.numerator for _, b in packed))
+            prev = [[(t, c * b.denominator * (common // b.numerator))
+                     for t, c in ivec.items()] for ivec, b in packed]
+            offset = [(j << cs) - (s << ds) for j, s in enumerate(F.shifts)]
             for col in cols:
                 acc = {}
-                for (j, m), c in col.vec.items():
-                    _iadd_scaled(acc, prev[j].vec, c, m)
+                for t, c in col.packed()[0].items():
+                    j = keys.comp(t)
+                    _isub_scaled(acc, prev[j], -c, t - offset[j])
                 if acc:
                     raise CertificateError("resolution differentials do not compose to zero")
 

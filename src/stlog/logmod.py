@@ -31,8 +31,7 @@ from . import session
 from .exceptions import CertificateError, StructuralError
 from .groebner import (BettiTable, FreeModule, ModuleElement, kernel_of_map,
                        minimal_free_resolution)
-from .ratpoly import (IntegerDivisor, PackedKeys, Polynomial, RationalSeries,
-                      integer_terms)
+from .ratpoly import IntegerDivisor, PackedKeys, Polynomial, RationalSeries
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
     betti = res.betti()
     reg, pd = betti.reg, betti.pd
 
-    _audit_membership(arr, mult, p, gens)
+    _audit_membership(arr, mult, p, gens, powers)
     if p <= ell - 1 and pd > ell - 2:
         raise CertificateError(
             f"pd D^{p} = {pd} exceeds reflexivity bound {ell - 2}")
@@ -170,43 +169,57 @@ def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
     return gens, betti
 
 
-def _audit_membership(arr: Arrangement, mult: Multiplicity, p: int, gens):
+def _audit_membership(arr: Arrangement, mult: Multiplicity, p: int, gens,
+                      powers=None):
     """Direct divisibility check of the defining condition for each generator.
 
-    For every hyperplane H and (p-1)-subset J, the combination s of the
-    generator's components given by the coefficients of alpha_H must be
-    divisible by alpha_H^{m(H)}.  The check uses only `ratpoly`, never the
-    Groebner engine it audits: each alpha_H^{m(H)} becomes one primitive
-    `IntegerDivisor`, each generator's components become integer dicts
-    with one joint scale, packed once into the divisors' keys, and s is
-    an integer dict in those keys.  Scaling by a nonzero integer does not
-    change divisibility, and the quotient by a primitive divisor is
-    integral (Gauss's lemma), so the heap division may stop at the first
-    lead term that the divisor's lead does not divide or that leaves an
-    integer remainder: then s has a nonzero remainder, and the generator
-    is not in D^p.
+    For every hyperplane H and (p-1)-subset J, s = theta(alpha_H, x_J),
+    the combination of the generator theta's components given by the
+    coefficients a_i of alpha_H, must be divisible by alpha_H^{m(H)}
+    (powers, one per hyperplane, built here unless the caller has them).
+    Only the J without the pivot k, the first i with a_i != 0, are
+    divided: theta is alternating, so theta(alpha_H, alpha_H, ...) = 0,
+    and substituting x_k = (alpha_H - sum_{i != k} a_i x_i) / a_k makes
+    each s with k in J a Q-combination of those with k not in J.  So the
+    check passes exactly when the check of every J does, and fails first
+    at the same hyperplane.
+
+    The check uses only `ratpoly`, never the Groebner engine it audits:
+    it reads each generator's primitive integer vector
+    (`ModuleElement.packed`), whose keys are `PackedKeys` with the
+    component in their own field (D^p's source has no shifts), makes each
+    alpha_H^{m(H)} one primitive `IntegerDivisor`, and divides s as an
+    integer dict.  Membership in D^p does not change under nonzero
+    scaling, and the quotient by a primitive divisor is integral (Gauss's
+    lemma), so the heap division may stop at the first lead term that the
+    divisor's lead does not divide or that leaves an integer remainder:
+    then s has a nonzero remainder, and the generator is not in D^p.
     """
     ell = arr.ell
-    cols = _subset_index(ell, p)
-    divisors = [IntegerDivisor(h.form() ** mult.values[hi])
-                for hi, h in enumerate(arr.hyperplanes)]
     keys = PackedKeys(ell)
+    index = {I: ci for ci, I in enumerate(_subset_index(ell, p))}
+    if powers is None:
+        powers = [h.form() ** m for h, m in zip(arr.hyperplanes, mult.values)]
+    checks = []         # (H, divisor, [[(component, signed a_i)] per J])
+    for h, power in zip(arr.hyperplanes, powers):
+        a = h.coeffs
+        k = next(i for i, c in enumerate(a) if c)
+        combos = [[(index[tuple(sorted(J + (i,)))],
+                    -a[i] if sum(j < i for j in J) % 2 else a[i])
+                   for i in range(ell) if a[i] and i not in J]
+                  for J in itertools.combinations(
+                      [i for i in range(ell) if i != k], p - 1)]
+        checks.append((h, IntegerDivisor(power), combos))
     for g in gens:
-        comps = {I: {} for I in cols}
-        for (ci, m), c in integer_terms(g.vec).items():
-            comps[cols[ci]][m] = c
-        comps = {I: keys.keyed_terms(terms) for I, terms in comps.items()}
-        for h, divisor in zip(arr.hyperplanes, divisors):
-            for J in itertools.combinations(range(ell), p - 1):
+        comps = [{} for _ in index]
+        for t, c in g.packed()[0].items():
+            ci = keys.comp(t)
+            comps[ci][t - (ci << keys.comp_shift)] = c
+        for h, divisor, combos in checks:
+            for combo in combos:
                 s = {}
-                for i in range(ell):
-                    c = h.coeffs[i]
-                    if not c or i in J:
-                        continue
-                    I = tuple(sorted(J + (i,)))
-                    if I.index(i) % 2:
-                        c = -c
-                    for t, v in comps[I].items():
+                for ci, c in combo:
+                    for t, v in comps[ci].items():
                         s[t] = s.get(t, 0) + c * v
                 if not divisor.divides(s):
                     raise CertificateError(

@@ -22,9 +22,11 @@ lead term that the divisor's lead does not divide, or that leaves a
 nonzero integer remainder, proves non-divisibility at once.  Its terms
 are packed exponent vectors (`PackedKeys`): one int per term, so a
 shift is one addition and the lead test one subtraction and a mask.
-The Groebner engine imports the same packing; this module imports
-nothing from `groebner`, so the membership audit built on it stays
-independent of the engine it audits.
+The Groebner engine imports the same packing, and the membership
+audit reads each generator as the engine's primitive integer vector in
+it (scaling leaves membership unchanged); this module imports nothing
+from `groebner`, so the audit's arithmetic stays independent of the
+engine it audits.
 """
 
 from __future__ import annotations
@@ -212,18 +214,22 @@ class _Sparse:
         return self._new({m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, k: int):
-        """self**k for k >= 0 by square-and-multiply; the last bit of k
-        needs no further squaring."""
+        """self**k for k >= 0 by square-and-multiply, starting from the
+        power of the lowest set bit of k, so self**1 is self and costs
+        no multiply."""
         if k < 0:
             raise StructuralError("negative power")
-        result, base = self._new({self._one_exp(): 1}), self
-        while True:
+        if not k:
+            return self._new({self._one_exp(): 1})
+        base = self
+        while not k & 1:
+            base, k = base * base, k >> 1
+        result = base
+        while k := k >> 1:
+            base = base * base
             if k & 1:
                 result = result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        return result
 
     def __eq__(self, other):
         return (type(other) is type(self) and self._one_exp() == other._one_exp()

@@ -260,6 +260,39 @@ def test_koszul_resolution_of_maximal_ideal():
     assert res.reg == 1
 
 
+def scaled_columns(cols, factors):
+    """Fraction-built copies of the columns, column j times factors[j]."""
+    return [col.module.element([p.scale(f) for p in col.components()])
+            for col, f in zip(cols, factors)]
+
+
+def test_resolution_audit_composes_each_column_at_its_own_scale():
+    # the audit composes integer vectors, each column ivec_j / b_j rescaled
+    # to a common multiple: scaling all of d_1 (and d_2) by one factor keeps
+    # d o d = 0, scaling one column of d_1 alone does not
+    module = FreeModule(3, [0])
+    res = minimal_free_resolution(
+        [ring_element(module, v) for v in variables(3)], module)
+    d1, d2 = res.diffs
+    res.diffs = [scaled_columns(d1, [Fraction(3, 2)] * 3),
+                 scaled_columns(d2, [Fraction(5, 7)])]
+    res.audit()
+    res.diffs = [scaled_columns(d1, [2, 1, 1]), d2]
+    with pytest.raises(CertificateError) as exc:
+        res.audit()
+    assert str(exc.value) == "resolution differentials do not compose to zero"
+
+
+def test_resolution_audit_rejects_a_constant_entry():
+    module = FreeModule(3, [0])
+    res = minimal_free_resolution(
+        [ring_element(module, v) for v in variables(3)], module)
+    res.diffs[1] = [res.modules[1].basis_element(0)]
+    with pytest.raises(CertificateError) as exc:
+        res.audit()
+    assert str(exc.value) == "non-minimal resolution: constant entry"
+
+
 def test_resolution_hilbert_series_counts_quotient():
     # S/(x^2, xy, y^2): colength 3, Hilbert function 1, 2
     nvars = 2

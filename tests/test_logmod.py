@@ -2,16 +2,21 @@
 tameness, and the derivation/form duality."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlog import groebner, logmod, session
-from stlog.arrangement import Multiplicity, parse
+from stlog.arrangement import Arrangement, Hyperplane, Multiplicity, parse
 from stlog.exceptions import CertificateError, StructuralError
 from stlog.fixtures import load
 from stlog.groebner import free_module_hilbert
-from stlog.ratpoly import LaurentPolynomial, Polynomial, RationalSeries
+from stlog.ratpoly import (PackedKeys, LaurentPolynomial, Polynomial,
+                           RationalSeries, integer_terms)
+from stlog.verify import PAPER_CORPUS
 
 
 def test_ex1_d1_generators_and_betti():
@@ -179,6 +184,124 @@ def test_audit_rejects_generator_outside_dp(p):
         logmod._audit_membership(arr, mult, p, [*gens[:-1], bad])
     assert str(exc.value) == (f"membership audit failed for D^{p} generator "
                               f"at hyperplane {first}")
+
+
+def audit_every_j(arr, mult, p, gens):
+    """Oracle for the membership audit: the first hyperplane, in the
+    audit's order (generator, then hyperplane), at which some (p-1)-subset
+    J gives an s = theta(alpha_H, x_J) that alpha_H^{m(H)} does not divide,
+    or None.  Every J is checked, each by `Polynomial.divide`."""
+    ell = arr.ell
+    cols = list(itertools.combinations(range(ell), p))
+    for g in gens:
+        comps = g.components()
+        for h, m in zip(arr.hyperplanes, mult.values):
+            power = Polynomial.one(ell)
+            for _ in range(m):
+                power = power * h.form()
+            for J in itertools.combinations(range(ell), p - 1):
+                s = Polynomial.zero(ell)
+                for i, a in enumerate(h.coeffs):
+                    if a and i not in J:
+                        I = tuple(sorted(J + (i,)))
+                        s = s + comps[cols.index(I)].scale((-1) ** I.index(i) * a)
+                if not s.divide(power)[1].is_zero():
+                    return list(h.coeffs)
+    return None
+
+
+@st.composite
+def multiarrangements(draw):
+    """l <= 4 and m(H) in 1..3, at least two hyperplanes, one of them with
+    several nonzero coefficients and m >= 2, where alpha^m has a tail.
+    Rank 4 gets at most three hyperplanes, which keeps D^p small."""
+    ell = draw(st.integers(2, 4))
+
+    def form(nonzero):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=ell, max_size=ell))
+        for i in draw(st.sets(st.integers(0, ell - 1), min_size=nonzero,
+                              max_size=nonzero)):
+            coeffs[i] = draw(st.sampled_from([-2, -1, 1, 2]))
+        return Hyperplane(coeffs)
+
+    mults = {form(2): draw(st.integers(2, 3))}
+    for _ in range(draw(st.integers(1, 2 if ell == 4 else ell))):
+        mults.setdefault(form(1), draw(st.integers(1, 3)))
+    arr = Arrangement(ell, mults)
+    return arr, Multiplicity([mults[h] for h in arr.hyperplanes])
+
+
+@settings(max_examples=40, deadline=None)
+@given(multiarrangements(), st.data())
+def test_audit_agrees_with_an_every_j_oracle(arr_mult, data):
+    # x^v * theta + c * x^u * f in one component, for a generator theta of
+    # D^p and f the product of alpha_H^{m(H)} over the first k hyperplanes:
+    # it passes the check at those H, and everywhere if c = 0.  The audit
+    # divides only the J without the pivot, and must fail first where the
+    # every-J oracle does.
+    arr, mult = arr_mult
+    ell = arr.ell
+    p = data.draw(st.integers(1, ell), label="p")
+    with session.request():
+        gens = list(logmod.derivation_module(arr, mult, p).generators)
+    i = data.draw(st.integers(0, len(gens) - 1), label="generator")
+    f = Polynomial.one(ell)
+    for h, m in zip(arr.hyperplanes[:data.draw(st.integers(0, arr.n))],
+                    mult.values):
+        f = f * h.form() ** m
+    x = Polynomial.variable(data.draw(st.integers(0, ell - 1)), ell)
+    lift = x ** max(0, f.degree() - gens[i].degree())
+    comps = [c * lift for c in gens[i].components()]
+    d = gens[i].degree() + lift.degree() - f.degree()
+    cuts = sorted(data.draw(st.lists(st.integers(0, d), min_size=ell - 1,
+                                     max_size=ell - 1)))
+    u = tuple(b - a for a, b in zip([0, *cuts], [*cuts, d]))
+    c = data.draw(st.fractions(-3, 3, max_denominator=3), label="c")
+    j = data.draw(st.integers(0, len(comps) - 1), label="component")
+    comps[j] = comps[j] + f * Polynomial(ell, {u: c})
+    gens[i] = gens[i].module.element(comps)
+    expected = audit_every_j(arr, mult, p, gens)
+    if expected is None:
+        logmod._audit_membership(arr, mult, p, gens)
+        return
+    with pytest.raises(CertificateError) as exc:
+        logmod._audit_membership(arr, mult, p, gens)
+    assert str(exc.value) == (f"membership audit failed for D^{p} generator "
+                              f"at hyperplane {expected}")
+
+
+def test_audit_reads_a_positive_multiple_of_each_generator():
+    # the vector the audit reads is the engine's own, a positive multiple
+    # of the generator: nonzero scaling leaves membership in D^p unchanged
+    for name in PAPER_CORPUS:
+        arr, mult = load(name)
+        keys = PackedKeys(arr.ell)
+        for p in range(1, arr.ell + 1):
+            with session.request():
+                gens = logmod.derivation_module(arr, mult, p).generators
+            for g in gens:
+                ivec, k = g.packed()
+                got = {keys.term(t)[1:]: c for t, c in ivec.items()}
+                ints = integer_terms(g.vec)
+                assert got.keys() == ints.keys()
+                t = next(iter(ints))
+                ratio = Fraction(got[t], ints[t])
+                assert ratio > 0 and k > 0
+                assert all(got[t] == ratio * c for t, c in ints.items())
+
+
+def test_audit_passes_a_fraction_built_multiple_of_a_generator():
+    arr, mult = load("ex2_B")
+    for p in (1, 2, 3):
+        with session.request():
+            gens = logmod.derivation_module(arr, mult, p).generators
+        copies = [g.module.element([c.scale(Fraction(3, 2))
+                                    for c in g.components()]) for g in gens]
+        logmod._audit_membership(arr, mult, p, copies)
+        for g, copy in zip(gens, copies):
+            # the same primitive vector, as (3/2) * g = ivec / (k * 2/3)
+            ivec, k = g.packed()
+            assert copy.packed() == (ivec, k / Fraction(3, 2))
 
 
 def test_dropped_basis_row_fails_the_hilbert_certificate_of_dp(monkeypatch):

@@ -118,6 +118,21 @@ def test_negative_power_is_refused(value, one):
         value ** -1
 
 
+@pytest.mark.parametrize("value, one", [
+    (Polynomial.from_linear_form([1, -2, 3]), Polynomial.one(3)),
+    (LaurentPolynomial({-1: 2, 3: Fraction(1, 3)}), LaurentPolynomial.one()),
+    (BiPolynomial({(1, 1): 1, (-2, 0): -3}), BiPolynomial.one())])
+def test_powers_start_from_the_base(value, one):
+    # p ** 1 is p itself, with no multiply by one; every power agrees
+    # with repeated multiplication
+    assert value ** 1 == value
+    assert value ** 0 == one
+    product = one
+    for k in range(9):
+        assert value ** k == product
+        product = product * value
+
+
 def test_polynomials_in_different_rings_do_not_mix():
     x2, x3 = Polynomial.variable(0, 2), Polynomial.variable(0, 3)
     with pytest.raises(StructuralError):
