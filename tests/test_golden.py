@@ -4,8 +4,11 @@ recorded in the benchmark's reference files, which these tests only
 read.  `st-bipoly`, `logmod -p 0`, `logmod -p 1`, `logmod -p 2`,
 `logmod -p 0 --omega` (D^l shifted by -|m|) and `betti -p 1 --omega` on
 the same fixtures, `logmod -p 3` on `ex2_A`, `ex2_Aprime` and `ex2_B`
-(their generators pin the order in which candidates are kept), and
-`lattice` (flats, Moebius values and chi) on all eight fixtures, must
+(their generators pin the order in which candidates are kept),
+`st-bipoly` on `bool1`, `bool2` and `bool3`, and `lattice` (flats,
+Moebius values and chi) and `st-algebra` at the default order (eta,
+ideal generators, Hilbert function and colength) on all eight fixtures,
+must
 print exactly the JSON in `golden-values.json` next to this file: it holds
 the values' own encodings (`BiPolynomial`, `LaurentPolynomial`,
 `Polynomial` and `RationalSeries.to_json`), which the bench's reference
