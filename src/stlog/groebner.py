@@ -53,6 +53,7 @@ import heapq
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb, gcd, lcm
 from operator import le
 from types import MappingProxyType
@@ -433,10 +434,21 @@ class GroebnerEngine:
                     _isub_scaled(rep, r.rep.items(), f, delta)
             self._insert(vec, rep)
 
-    def interreduce(self):
-        """Tail-reduce every row of an untracked engine against the rows,
-        keeping its lead, and make it primitive again."""
+    def interreduce(self, start=0):
+        """Tail-reduce the rows of an untracked engine, keeping each lead,
+        and make them primitive again.  The tails are irreducible by the
+        leads of rows[:start], so a row is skipped, unchanged, when no lead
+        of rows[start:] divides a tail term (none can if it is of lower
+        degree than all those leads)."""
+        guard, comp, ds = self.keys.guard, self.keys.comp, self.keys.deg_shift
+        new = _index_by_lead(self.rows[start:])
+        low = max((r.lead >> ds for r in self.rows[start:]), default=0)
         for i, r in enumerate(self.rows):
+            if r.lead >> ds > low or not any(
+                    ((t | guard) - lead) & guard == guard
+                    for t in itertools.islice(r.vec, 1, None)
+                    for lead, _ in new.get(comp(t), ())):
+                continue
             tail = dict(itertools.islice(r.vec.items(), 1, None))
             out, scale = _reduce(tail, self.rows, self._lead_index, self.keys)
             out[r.lead] = r.lc * scale
@@ -565,9 +577,9 @@ def _minimal_level(gens, module: FreeModule):
     truncated basis decides membership exactly, in the one reduction that
     also inserts a kept candidate.  The last, full completion gives the
     syzygies of the kept generators.  A candidate is read as g = ivec / k
-    (`ModuleElement.packed`), never decoded: its canonical key compares
-    each g_t as the integer g_t * L, for one common multiple L of the
-    numerators of all k.
+    (`ModuleElement.packed`), never decoded: two candidates compare their
+    coefficients ivec_t / k pairwise by cross-multiplication, so no
+    integer exceeds two coefficients times two scales.
 
     Returns (kept, F, syzygies, engine): F is the free module on the kept
     generators (shifts = their degrees), the syzygies are distinct
@@ -577,17 +589,24 @@ def _minimal_level(gens, module: FreeModule):
     eng = GroebnerEngine(module, track=True)
     if any(g.module != module for g in gens):
         raise StructuralError("generators live in different free modules")
-    cands = [(g.degree(), *g.packed(), g) for g in gens if not g.is_zero()]
-    common = lcm(*(cand[2].numerator for cand in cands))
     term = eng.keys.term
+    cands = [(g.degree(), sorted((term(t)[1:], t) for t in ivec), ivec, k, g)
+             for g in gens if not g.is_zero() for ivec, k in [g.packed()]]
 
-    def canonical(cand):
-        d, ivec, k, _ = cand
-        m = k.denominator * (common // k.numerator)
-        return d, sorted((term(t)[1:], c * m) for t, c in ivec.items())
+    def canonical(a, b):
+        """By degree, then term by term in term order, each coefficient
+        ivec_t / k compared exactly by cross-multiplication."""
+        if a[0] != b[0]:
+            return a[0] - b[0]
+        for (sa, x), (sb, y) in zip(a[1], b[1]):
+            x = sa, a[2][x] * a[3].denominator * b[3].numerator
+            y = sb, b[2][y] * b[3].denominator * a[3].numerator
+            if x != y:
+                return -1 if x < y else 1
+        return len(a[1]) - len(b[1])
 
     kept = []
-    for d, ivec, k, g in sorted(cands, key=canonical):
+    for d, _, ivec, k, g in sorted(cands, key=cmp_to_key(canonical)):
         eng.complete(max_degree=d)
         if eng.add_vector(dict(ivec), d, k, minimal=True) is not None:
             kept.append(g)
@@ -873,9 +892,9 @@ def quotient_colength(ideal_gens, nvars: int | None = None):
     generated by 1 in degree 0, so (S/I)_{k+1} = S_1 (S/I)_k: once a
     degree is empty, so is every higher one.  Once no S-pair is pending,
     S/I is finite dimensional iff every variable has a pure-power lead.
-    After each completion that added rows, every row is tail-reduced
-    (`interreduce`): the leads and pairs stay, and the rows keep the small
-    coefficients of a reduced basis instead of swelling.
+    After each completion that added rows, the rows are tail-reduced
+    against the new leads (`interreduce`): the leads and pairs stay, and
+    the rows keep the small coefficients of a reduced basis.
     """
     ideal_gens = [g for g in ideal_gens if not g.is_zero()]
     if nvars is None:
@@ -894,7 +913,7 @@ def quotient_colength(ideal_gens, nvars: int | None = None):
     while True:
         eng.complete(max_degree=k)
         if len(eng.rows) > reduced:
-            eng.interreduce()
+            eng.interreduce(reduced)
             reduced = len(eng.rows)
         leads = [r.mono for r in eng.rows]
         standard = {m for m in standard

@@ -13,26 +13,28 @@ abelian monoid so the Groebner engine can share them.
 
 Division by one polynomial (Monagan-Pearce, Sparse polynomial division
 using a heap, JSC 2011) keys each remainder term once, when it enters,
-by `_key`, and takes the grevlex lead from a heap.  It is the only
-division loop over Q: `exact_divide` is a one-variable division after a
-shift to valuation 0.  Divisibility is decided in integers:
-`IntegerDivisor` makes the divisor primitive over Z, so by Gauss's
-lemma the quotient of an integral dividend is integral, and the first
-lead term that the divisor's lead does not divide, or that leaves a
-nonzero integer remainder, proves non-divisibility at once.  Its terms
-are packed exponent vectors (`PackedKeys`): one int per term, so a
-shift is one addition and the lead test one subtraction and a mask.
-The Groebner engine imports the same packing, and the membership
-audit reads each generator as the engine's primitive integer vector in
-it (scaling leaves membership unchanged); this module imports nothing
-from `groebner`, so the audit's arithmetic stays independent of the
-engine it audits.
+by `_key`, and takes the grevlex lead from a heap.  `Polynomial.divide`
+is the one general division loop (`exact_divide` divides in one variable
+after a shift to valuation 0); division by (1-x)^r is synthetic, one
+prefix sum per factor (`divide_one_minus_x`).  Divisibility is decided
+in integers: `IntegerDivisor` makes the divisor primitive over Z, so by
+Gauss's lemma the quotient of an integral dividend is integral, and the
+first lead term that the divisor's lead does not divide, or that leaves
+a nonzero integer remainder, proves non-divisibility at once.  Its terms
+are packed exponent vectors (`PackedKeys`): one int per term, so a shift
+is one addition and the lead test one subtraction and a mask.  The
+Groebner engine imports the same packing, and the membership audit reads
+each generator as the engine's primitive integer vector in it (scaling
+leaves membership unchanged); this module imports nothing from
+`groebner`, so the audit's arithmetic stays independent of the engine it
+audits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import gcd, lcm
 from operator import add, le, sub
 from struct import Struct
@@ -339,16 +341,6 @@ class Polynomial(_Sparse):
                     terms[me] = s
         return Polynomial(self.nvars, terms)
 
-    def evaluate(self, point: Iterable) -> Fraction:
-        point = [_coerce(p) for p in point]
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
-            for e, p in zip(m, point):
-                v *= p ** e
-            total += v
-        return total
-
     def divide(self, divisor: "Polynomial"):
         """Multivariate division by a single polynomial (grevlex lead).
 
@@ -608,6 +600,21 @@ def exact_divide(n: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomia
 ONE_MINUS_X = LaurentPolynomial({0: 1, 1: -1})
 
 
+def divide_one_minus_x(terms, r: int):
+    """{e: c} / (1-x)^r without zeros, or None when inexact.  Synthetic
+    division: f = (1-x) q makes q_e = f_lo + ... + f_e, a prefix sum over
+    the dense coefficients whose last entry, f(1), must be 0."""
+    if not any(terms.values()):
+        return {}
+    lo = min(terms)
+    dense = [terms.get(e, 0) for e in range(lo, max(terms) + 1)]
+    for _ in range(r):
+        *dense, last = accumulate(dense)
+        if last:
+            return None
+    return {lo + i: c for i, c in enumerate(dense) if c}
+
+
 # ---------------------------------------------------------------------------
 # Hilbert-series rational functions
 
@@ -619,26 +626,17 @@ class RationalSeries:
     def __init__(self, numerator: LaurentPolynomial, denom_power: int):
         if denom_power < 0:
             raise StructuralError("negative denominator power")
-        while denom_power > 0:
-            try:
-                numerator = exact_divide(numerator, ONE_MINUS_X)
-            except NonDivisibleError:
-                break
-            denom_power -= 1
+        while denom_power and (
+                q := divide_one_minus_x(numerator.terms, 1)) is not None:
+            numerator, denom_power = LaurentPolynomial(q), denom_power - 1
         self.numerator = numerator
         self.denom_power = denom_power
-
-    def numerator_for_power(self, k: int) -> LaurentPolynomial:
-        """Numerator over (1-x)^k; k must be >= the canonical power."""
-        if k < self.denom_power:
-            raise StructuralError(
-                f"cannot express over (1-x)^{k}: canonical power {self.denom_power}")
-        return self.numerator * ONE_MINUS_X ** (k - self.denom_power)
 
     def __add__(self, other: "RationalSeries") -> "RationalSeries":
         k = max(self.denom_power, other.denom_power)
         return RationalSeries(
-            self.numerator_for_power(k) + other.numerator_for_power(k), k)
+            self.numerator * ONE_MINUS_X ** (k - self.denom_power)
+            + other.numerator * ONE_MINUS_X ** (k - other.denom_power), k)
 
     def __sub__(self, other):
         return self + RationalSeries(-other.numerator, other.denom_power)

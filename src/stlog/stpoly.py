@@ -21,6 +21,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .arrangement import Arrangement, Multiplicity, is_essential
 from .exceptions import (CertificateError, GenericityNotFoundError,
@@ -28,11 +29,8 @@ from .exceptions import (CertificateError, GenericityNotFoundError,
                          StructuralError)
 from .groebner import lift, quotient_colength
 from .logmod import derivation_module
-from .ratpoly import (ONE_MINUS_X, BiPolynomial, LaurentPolynomial,
-                      Polynomial, exact_divide)
-
-# t(x-1) - 1 as a bi-polynomial: the substitution variable of Psi
-_T_FACTOR = BiPolynomial({(1, 1): 1, (0, 1): -1, (0, 0): -1})
+from .ratpoly import (BiPolynomial, LaurentPolynomial, Polynomial,
+                      divide_one_minus_x, exact_divide)
 
 
 @dataclass
@@ -83,36 +81,39 @@ class STIdealResult:
         }
 
 
+def psi_from_numerators(ell: int, numerators) -> BiPolynomial:
+    """Psi from the integer numerators f_0..f_l ({degree: c}), in the
+    closed form of `st_bipoly`."""
+    terms = {}
+    for k in range(ell + 1):
+        g = {}
+        for p in range(k, ell + 1):
+            for e, v in numerators[p].items():
+                g[e] = g.get(e, 0) + (-1) ** (p - k) * comb(p, k) * v
+        q = divide_one_minus_x(g, ell - k)
+        if q is None:
+            raise CertificateError(
+                f"t^{k} coefficient of the Psi numerator is not divisible "
+                f"by (1-x)^{ell}")
+        terms.update(((e, k), (-1) ** k * c) for e, c in q.items())
+    return BiPolynomial(terms)
+
+
 def st_bipoly(arr: Arrangement, mult: Multiplicity) -> STBiPoly:
-    """Psi(A,m;x,t), assembled from the Hilbert series of all D^p."""
+    """Psi(A,m;x,t), assembled in integers from the Betti numerators
+    f_p = Hilb(D^p) (1-x)^l.  Expanding (t(x-1)-1)^p by the binomial
+    theorem, the t^k coefficient of sum_p f_p (t(x-1)-1)^p is (x-1)^k g_k
+    with g_k = sum_{p>=k} (-1)^(p-k) C(p,k) f_p, so that of Psi is
+    (-1)^k g_k / (1-x)^(l-k) (`psi_from_numerators`); and (1-x)^l divides
+    (x-1)^k g_k exactly when (1-x)^(l-k) divides g_k: the same certificate."""
     if not is_essential(arr):
         raise StructuralError("st_bipoly expects an essential arrangement")
     ell = arr.ell
     n = mult.total
-    numerators = {}
-    acc, power = BiPolynomial.zero(), BiPolynomial.one()   # (t(x-1)-1)^p
-    for p in range(ell + 1):
-        hilb = derivation_module(arr, mult, p).hilb
-        f_p = hilb.numerator_for_power(ell)
-        numerators[p] = f_p
-        acc = acc + BiPolynomial.from_laurent(f_p) * power
-        power = power * _T_FACTOR
-    # acc = Psi * (1-x)^l; divide each t-coefficient exactly
-    terms = {}
-    tdeg = acc.t_degree()
-    for k in range(0, (tdeg if tdeg is not None else -1) + 1):
-        ck = acc.t_coefficient(k)
-        if ck.is_zero():
-            continue
-        try:
-            q = exact_divide(ck, ONE_MINUS_X ** ell)
-        except NonDivisibleError as exc:
-            raise CertificateError(
-                f"t^{k} coefficient of the Psi numerator is not divisible "
-                f"by (1-x)^{ell}") from exc
-        for e, c in q.terms.items():
-            terms[(e, k)] = c
-    psi = BiPolynomial(terms)
+    ints = [derivation_module(arr, mult, p).betti.hilbert_numerator()
+            for p in range(ell + 1)]
+    numerators = {p: LaurentPolynomial(f) for p, f in enumerate(ints)}
+    psi = psi_from_numerators(ell, ints)
     if psi.t_degree() != ell:
         raise CertificateError(
             f"Psi has t-degree {psi.t_degree()}, expected {ell}")
@@ -363,14 +364,10 @@ def leading_t_coefficients_check(st: STBiPoly) -> dict:
     report["passed"] = report["passed"] and ok
 
     f1 = st.numerators.get(ell - 1, LaurentPolynomial.zero())
-    numerator = (LaurentPolynomial({n: ell}) - f1).scale((-1) ** (ell - 1))
-    x_minus_1 = LaurentPolynomial({1: 1, 0: -1})
-    try:
-        expected_sub = exact_divide(numerator, x_minus_1)
-        divisible = True
-    except NonDivisibleError:
-        expected_sub = None
-        divisible = False
+    q = divide_one_minus_x(
+        (LaurentPolynomial({n: ell}) - f1).scale((-1) ** ell).terms, 1)
+    divisible = q is not None
+    expected_sub = LaurentPolynomial(q) if divisible else None
     sub = st.psi.t_coefficient(ell - 1)
     ok = divisible and sub == expected_sub
     a1 = st.a.get(ell - 1, Fraction(0))

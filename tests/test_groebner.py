@@ -5,16 +5,19 @@ graded pieces: a homogeneous h of degree d lies in (f_1..f_k) iff it is
 a rational linear combination of the {monomial * f_i} of degree d.
 """
 
+import copy
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stlog import groebner, linalg
+from stlog import groebner, linalg, stpoly
 from stlog.exceptions import (CertificateError, ResourceBudgetError,
                               StructuralError)
+from stlog.fixtures import load
 from stlog.groebner import (FreeModule, GroebnerEngine, ModuleElement,
                             groebner_basis, hilbert_series, kernel_of_map,
                             lift, minimal_free_resolution,
@@ -372,6 +375,110 @@ def test_truncated_minimalization_matches_greedy_oracle(data):
         for i, g in enumerate(kept):
             total = total + s.component(i) * g.component(0)
         assert total.is_zero()
+
+
+def is_prime(n):
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_minimal_level_orders_by_exact_coefficients_at_distinct_scales():
+    # 40 constant vectors in Q^40, the i-th with denominator a prime p_i
+    # of 50 to 62 bits, so its scale is p_i; -1/p < -1/q iff p < q, so
+    # an order on c * p or on c alone would differ from the exact one.
+    # A diagonally dominant numerator matrix keeps every candidate.
+    rng = random.Random(20)
+    rank = 40
+    module = FreeModule(1, [0] * rank)
+    primes = set()
+    while len(primes) < rank:
+        n = rng.getrandbits(rng.randint(50, 62)) | 1
+        while not is_prime(n):
+            n += 2
+        primes.add(n)
+    gens = []
+    for i, p in enumerate(sorted(primes, key=lambda _: rng.random())):
+        nums = [rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(rank)]
+        nums[(7 * i + 3) % rank] = 1000
+        gens.append(ModuleElement(module, {(j, (0,)): Fraction(c, p)
+                                           for j, c in enumerate(nums)}))
+        assert gens[-1].packed()[1] == p
+    expected = sorted(gens, key=lambda g: (g.degree(), g.canonical_key()))
+    assert expected != gens
+    kept, *_ = groebner._minimal_level(gens, module)
+    assert kept == expected
+
+
+def interreduce_every_row(eng):
+    """The full pass: every row tail-reduced against all rows, in order."""
+    for i, r in enumerate(eng.rows):
+        tail = dict(itertools.islice(r.vec.items(), 1, None))
+        out, scale = groebner._reduce(tail, eng.rows, eng._lead_index, eng.keys)
+        out[r.lead] = r.lc * scale
+        eng.rows[i] = groebner._Row(out, None, eng.keys)
+
+
+def interreduce_against_full_passes(gens, nvars):
+    """Drive a colength engine as quotient_colength does, and after each
+    completion that added rows check interreduce(start) against a full
+    pass on a copy.  Returns how many rows it re-reduced, of those before
+    start and of all, and how many it left as they were."""
+    _, hf = quotient_colength(gens, nvars)
+    eng = GroebnerEngine(FreeModule(nvars, [0]))
+    for g in gens:
+        eng.add_generator({(0, m): c for m, c in g.terms.items()}, g.degree())
+    old = redone = kept = reduced = 0
+    for k in range(max(hf) + 2):
+        eng.complete(max_degree=k)
+        if len(eng.rows) == reduced:
+            continue
+        full = copy.copy(eng)
+        full.rows = list(eng.rows)
+        interreduce_every_row(full)
+        before = list(eng.rows)
+        eng.interreduce(reduced)
+        assert [(r.lead, r.lc, r.vec) for r in eng.rows] == \
+            [(r.lead, r.lc, r.vec) for r in full.rows]
+        same = [a is b for a, b in zip(before, eng.rows)]
+        old += same[:reduced].count(False)
+        redone, kept = redone + same.count(False), kept + same.count(True)
+        reduced = len(eng.rows)
+    return old, redone, kept
+
+
+@pytest.mark.parametrize("name, order", [("ex2_B", 2), ("ex1", 3)])
+def test_incremental_interreduce_matches_a_full_pass(name, order):
+    arr, mult = load(name)
+    eta = stpoly.sample_generic_eta(arr, mult, order - 1).eta
+    gens = stpoly.st_ideal_generators(arr, mult, eta)
+    _, redone, kept = interreduce_against_full_passes(gens, arr.ell)
+    assert redone and kept
+
+
+def test_incremental_interreduce_reduces_an_earlier_row():
+    # an S-pair in degree 4 adds the lead x1^3 x3, the tail of the row
+    # 2 x1^2 x2^2 - 3 x1^3 x3 interreduced in degree 0
+    x1, x2, x3 = variables(3)
+    gens = [3 * x1 ** 2 * x3 ** 2, 3 * x1 ** 3 * x3 - 2 * x1 ** 2 * x2 ** 2,
+            x1 ** 4, x2 ** 2, x3 ** 3]
+    old, _, _ = interreduce_against_full_passes(gens, 3)
+    assert old
 
 
 # -- exactness with rational coefficients -----------------------------------

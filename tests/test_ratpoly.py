@@ -240,6 +240,56 @@ def test_rational_series_taylor_full_ring():
     assert s.taylor_coefficients(4) == [1, 3, 6, 10, 15]
 
 
+def cancel_by_long_division(numerator, denom_power):
+    """The canonical form by long division: divide by (1-x) with
+    `exact_divide` while it is exact and a power of (1-x) is left."""
+    while denom_power > 0:
+        try:
+            numerator = exact_divide(numerator, ONE_MINUS_X)
+        except NonDivisibleError:
+            break
+        denom_power -= 1
+    return numerator, denom_power
+
+
+@st.composite
+def fraction_laurents(draw, lo=-3, hi=5, max_terms=4):
+    return LaurentPolynomial({draw(st.integers(lo, hi)): draw(fractions)
+                              for _ in range(draw(st.integers(0, max_terms)))})
+
+
+@settings(max_examples=150)
+@given(fraction_laurents(), st.integers(0, 4), st.integers(0, 5))
+def test_rational_series_cancels_like_long_division(h, j, k):
+    # numerators h * (1-x)^j over (1-x)^k: j < k, j = k and j > k each
+    # occur, and h itself may or may not vanish at 1
+    numerator = h * ONE_MINUS_X ** j
+    s = RationalSeries(numerator, k)
+    assert (s.numerator, s.denom_power) == cancel_by_long_division(numerator, k)
+
+
+@settings(max_examples=80)
+@given(fraction_laurents(), st.integers(0, 4), st.integers(0, 4))
+def test_divide_one_minus_x_matches_exact_divide(h, j, r):
+    f = h * ONE_MINUS_X ** j
+    q = ratpoly.divide_one_minus_x(f.terms, r)
+    try:
+        expected = exact_divide(f, ONE_MINUS_X ** r)
+    except NonDivisibleError:
+        assert q is None
+    else:
+        assert q is not None and LaurentPolynomial(q) == expected
+        assert all(q.values())
+
+
+def test_divide_one_minus_x_reads_integers_and_zeros():
+    # 1 - 3x + 3x^2 - x^3 = (1-x)^3; a zero entry is no term
+    assert ratpoly.divide_one_minus_x({0: 1, 1: -3, 2: 3, 3: -1, 7: 0}, 3) == {0: 1}
+    assert ratpoly.divide_one_minus_x({0: 1, 1: -3, 2: 3, 3: -1}, 4) is None
+    assert ratpoly.divide_one_minus_x({2: 0}, 5) == {}
+    assert ratpoly.divide_one_minus_x({-2: 1, -1: -1}, 1) == {-2: 1}
+
+
 @settings(max_examples=40)
 @given(laurents(lo=0), laurents(lo=0))
 def test_rational_series_addition_matches_taylor(a, b):

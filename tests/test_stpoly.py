@@ -1,15 +1,22 @@
 """Solomon-Terao polynomials, ideals, algebras, and complexes."""
 
+import dataclasses
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stlog import lattice, stpoly
-from stlog.arrangement import Multiplicity, parse
-from stlog.exceptions import (GenericityNotFoundError, NonGenericEtaError,
+from stlog import lattice, logmod, session, stpoly
+from stlog.arrangement import Multiplicity, parse, render
+from stlog.exceptions import (CertificateError, GenericityNotFoundError,
+                              NonDivisibleError, NonGenericEtaError,
                               StructuralError)
 from stlog.fixtures import load
-from stlog.ratpoly import BiPolynomial, LaurentPolynomial, Polynomial
+from stlog.groebner import BettiTable
+from stlog.ratpoly import (ONE_MINUS_X, BiPolynomial, LaurentPolynomial,
+                           Polynomial, exact_divide)
 
 
 def test_ex1_bipolynomial_exact():
@@ -189,3 +196,100 @@ def test_st_bipoly_requires_essential():
     arr, mult = parse("ell 3\nH 1 0 0\nH 0 1 0\n")
     with pytest.raises(StructuralError):
         stpoly.st_bipoly(arr, mult)
+
+
+# -- Psi from the integer numerators ----------------------------------------
+
+def psi_by_expansion(ell, numerators):
+    """Psi the long way: sum_p f_p (t(x-1)-1)^p as bi-polynomials, then
+    each t-coefficient divided by (1-x)^l by long division over Q."""
+    t_factor = BiPolynomial({(1, 1): 1, (0, 1): -1, (0, 0): -1})
+    acc, power = BiPolynomial.zero(), BiPolynomial.one()
+    for f in numerators:
+        acc = acc + BiPolynomial.from_laurent(LaurentPolynomial(f)) * power
+        power = power * t_factor
+    terms = {}
+    for k in range(ell + 1):
+        ck = acc.t_coefficient(k)
+        if ck.is_zero():
+            continue
+        try:
+            q = exact_divide(ck, ONE_MINUS_X ** ell)
+        except NonDivisibleError:
+            raise CertificateError(
+                f"t^{k} coefficient of the Psi numerator is not divisible "
+                f"by (1-x)^{ell}")
+        terms.update(((e, k), c) for e, c in q.terms.items())
+    return BiPolynomial(terms)
+
+
+@st.composite
+def integer_numerators(draw):
+    """(l, [f_0..f_l]) with integer {degree: c}.  Either each f_p is
+    (1-x)^j h, or f_p = sum_{k>=p} C(k,p) g_k with each g_k = (1-x)^j h
+    (g_k = sum_{p>=k} (-1)^(p-k) C(p,k) f_p inverted), so that the
+    division can fail at any t^k; j < l or j < l-k makes it fail."""
+    ell = draw(st.integers(1, 4))
+
+    def divisible(j):
+        h = LaurentPolynomial({draw(st.integers(0, 6)): draw(st.integers(-5, 5))
+                               for _ in range(draw(st.integers(0, 3)))})
+        return h * ONE_MINUS_X ** max(j, 0)
+
+    if draw(st.booleans()):
+        fs = [divisible(draw(st.sampled_from([ell, ell, 0, 1, ell + 1])))
+              for _ in range(ell + 1)]
+    else:
+        gs = [divisible(ell - k - draw(st.sampled_from([0, 0, 0, 1, 2, -1])))
+              for k in range(ell + 1)]
+        fs = [sum((gs[k].scale(comb(k, p)) for k in range(p, ell + 1)),
+                  LaurentPolynomial.zero()) for p in range(ell + 1)]
+    return ell, [{e: int(c) for e, c in f.terms.items()} for f in fs]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CertificateError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_numerators())
+def test_closed_form_psi_matches_the_expansion(case):
+    ell, numerators = case
+    got = outcome(stpoly.psi_from_numerators, ell, numerators)
+    assert got == outcome(psi_by_expansion, ell, numerators)
+
+
+def test_closed_form_psi_of_the_fixtures_is_integral():
+    for name in ("ex1", "ex2_A", "bool3", "generic_3_4"):
+        arr, mult = load(name)
+        numerators = [logmod.derivation_module(arr, mult, p).betti
+                      .hilbert_numerator() for p in range(arr.ell + 1)]
+        psi = stpoly.psi_from_numerators(arr.ell, numerators)
+        assert psi == psi_by_expansion(arr.ell, numerators), name
+        assert all(c.denominator == 1 for c in psi.terms.values()), name
+
+
+def test_st_bipoly_rejects_a_betti_table_off_by_one():
+    # one more generator of D^1 in its lowest degree: f_1(1) grows by 1,
+    # so g_0 = sum_p (-1)^p f_p no longer vanishes at 1 and the t^0
+    # coefficient is no polynomial
+    arr, mult = load("ex1")
+    with session.request() as req:
+        d1 = logmod.derivation_module(arr, mult, 1)
+        counts = dict(d1.betti.counts)
+        low = min(d for i, d in counts if i == 0)
+        counts[(0, low)] += 1
+        betti = BettiTable(counts)
+        req.modules[(render(arr, mult), 1)] = dataclasses.replace(
+            d1, betti=betti, hilb=betti.hilbert_series(arr.ell))
+        with pytest.raises(CertificateError, match=(
+                r"^t\^0 coefficient of the Psi numerator is not divisible "
+                r"by \(1-x\)\^3$")):
+            stpoly.st_bipoly(arr, mult)
+    # the session's own D^1 is unchanged outside that request
+    assert stpoly.st_bipoly(arr, mult).psi == psi_by_expansion(
+        arr.ell, [logmod.derivation_module(arr, mult, p).betti
+                  .hilbert_numerator() for p in range(arr.ell + 1)])
