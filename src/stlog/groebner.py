@@ -9,7 +9,11 @@ S-pairs; syzygies come from recording the representation of every basis
 element in terms of the original generators and collecting the
 relations produced by S-pairs that reduce to zero (Schreyer).  One
 reduction loop, `_reduce`, serves the engine, `normal_form`, `lift`
-and the reduced basis.
+and the reduced basis.  It pops each lead from a heap of the
+remainder's keys, reads each row's tail from items stored once, and
+leaves the representation alone: it logs its steps, and `_replay`
+applies them to the representation when the result is kept, so a
+candidate that reduces to zero costs no representation work.
 
 An engine skips the S-pairs that the Gebauer-Moeller criteria prove
 redundant (Gebauer-Moeller, On an installation of Buchberger's algorithm,
@@ -49,20 +53,20 @@ place of one per coefficient operation.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
+from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
 from operator import le
 from types import MappingProxyType
 
 from . import session
 from .exceptions import CertificateError, StructuralError
-from .ratpoly import (MAX_EXPONENT, LaurentPolynomial, PackedKeys, Polynomial,
-                      RationalSeries, degree_overflow, mono_deg, mono_mul,
-                      mono_zero)
+from .ratpoly import (COMP_BITS, MAX_EXPONENT, LaurentPolynomial, PackedKeys,
+                      Polynomial, RationalSeries, degree_overflow, mono_deg,
+                      mono_mul, mono_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +114,11 @@ class FreeModule:
 
 class ModuleElement:
     """Homogeneous (in all uses here) element of a graded free module.
-    One that an engine made (`syzygy_elements`) holds _packed = (its
-    primitive integer vector with positive lead, that lead, the
-    PackedKeys of its module) and decodes `vec`, the monic element, when
-    first read; one built from Fractions packs itself when first asked."""
+    One built from packed = (ivec, k, keys), ivec = k * vec an integer
+    vector in the PackedKeys keys of its module (`packed`), decodes `vec`
+    when first read: an engine makes its syzygies so (`syzygy_elements`),
+    primitive with k their positive lead, so they decode monic.  One
+    built from Fractions packs itself when first asked."""
 
     __slots__ = ("module", "_vec", "_packed")
 
@@ -186,6 +191,9 @@ class ModuleElement:
 # a vector, so an engine that bounds the degree of each vector it encodes
 # and of each S-pair keeps every exponent within its field.
 
+_COMP_MASK = (1 << COMP_BITS) - 1
+
+
 def _decode(ivec, scale, keys):
     """The flat dict {(comp, mono): Fraction} of ivec / scale."""
     return {keys.term(t)[1:]: Fraction(c, scale) for t, c in ivec.items()}
@@ -204,12 +212,14 @@ def _isub_scaled(dst, items, q, delta):
 
 
 class _Row:
-    __slots__ = ("vec", "lead", "lc", "rep", "comp", "mono")
+    __slots__ = ("vec", "lead", "lc", "rep", "comp", "mono", "tail")
 
     def __init__(self, vec, rep, keys):
         """A basis row from an integer vector and its representation (or
         None): both divided by their joint content, with positive lead
-        coefficient and the lead term first in vec."""
+        coefficient and the lead term first in vec.  The items a reduction
+        step reads are stored once: tail, those of vec after the lead, and
+        rep, those of the representation (None untracked)."""
         lead = min(vec)
         g = gcd(*vec.values(), *(rep.values() if rep else ()))
         if vec[lead] < 0:
@@ -219,8 +229,9 @@ class _Row:
         self.lc = vec[lead] // g
         self.vec = {lead: self.lc}
         self.vec.update((t, c // g) for t, c in vec.items())
-        self.rep = rep if g == 1 or rep is None else \
-            {t: c // g for t, c in rep.items()}
+        self.tail = tuple(self.vec.items())[1:]
+        self.rep = None if rep is None else tuple((t, c // g)
+                                                  for t, c in rep.items())
 
 
 def _index_by_lead(rows):
@@ -231,26 +242,33 @@ def _index_by_lead(rows):
     return index
 
 
-def _reduce(rem, rows, lead_index, keys, rep=None):
+def _reduce(rem, rows, lead_index, keys, steps=None):
     """Fraction-free normal form of the integer vector rem against rows.
 
     rem is consumed.  To remove a term with coefficient c by a row with
-    lead coefficient a, everything is multiplied by a/g, g = gcd(a, c),
-    and c/g times the shifted row is subtracted.  Returns (out, scale)
-    with scale * rem = out + (an integer combination of rows).  rep, if
-    given, is updated in place alongside: multiplied by the same factors,
-    minus the same multiples of the rows' representations.  So if rep
-    starts as the representation of rem, it ends as that of out; if it
-    starts empty, out = scale * rem + (the combination rep describes).
+    lead coefficient a, everything is multiplied by f = a/g, g = gcd(a, c),
+    and q = c/g times the shifted row is subtracted.  Returns (out, scale)
+    with scale * rem = out + (an integer combination of rows).  The keys
+    of rem sit in a heap, so each step pops its lead instead of searching
+    for it (Monagan-Pearce, Sparse polynomial division using a heap, JSC
+    2011): a term that cancels stays in rem as 0 until it is popped, and
+    a key enters the heap only when it enters rem, so it is never pushed
+    twice, and the terms a step adds all follow the lead it removes.
+    steps, if a list, receives each step as (f, q, shift, row) for
+    `_replay`, which repeats them on a representation.
     """
     out = {}
     scale = 1
-    guard, comp = keys.guard, keys.comp
-    while rem:
-        t = min(rem)
+    guard, cs = keys.guard, keys.comp_shift
+    heap = list(rem)
+    heapify(heap)
+    while heap:
+        t = heappop(heap)
         c = rem.pop(t)
+        if not c:
+            continue
         tg = t | guard
-        for lead, i in lead_index.get(comp(t), ()):
+        for lead, i in lead_index.get((t >> cs) & _COMP_MASK, ()):
             if (tg - lead) & guard == guard:
                 break
         else:
@@ -259,18 +277,40 @@ def _reduce(rem, rows, lead_index, keys, rep=None):
         row = rows[i]
         a = row.lc
         g = gcd(a, c)
-        if g != a:
-            f = a // g
+        f = a // g
+        if f != 1:
             scale *= f
-            for d in (rem, out) if rep is None else (rem, out, rep):
-                for k in d:
-                    d[k] *= f
+            rem = {k: v * f for k, v in rem.items()}
+            out = {k: v * f for k, v in out.items()}
         q = c // g
         delta = t - lead
-        _isub_scaled(rem, itertools.islice(row.vec.items(), 1, None), q, delta)
-        if rep is not None:
-            _isub_scaled(rep, row.rep.items(), q, delta)
+        get = rem.get
+        for k, v in row.tail:
+            k += delta
+            x = get(k)
+            if x is None:
+                rem[k] = -q * v
+                heappush(heap, k)
+            else:
+                rem[k] = x - q * v
+        if steps is not None:
+            steps.append((f, q, delta, row))
     return out, scale
+
+
+def _replay(rep, steps):
+    """Apply the steps `_reduce` logged to the representation rep, in
+    place: multiplied by the same factors, minus the same multiples of
+    the rows' representations, in the same order.  So if rep starts as
+    the representation of the reduced vector, it ends as that of the
+    remainder; if it starts empty, remainder = scale * vector + (the
+    combination rep describes).  A caller that may drop the remainder
+    replays only when it keeps it."""
+    for f, q, delta, row in steps:
+        if f != 1:
+            for k, v in rep.items():
+                rep[k] = v * f
+        _isub_scaled(rep, row.rep, q, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +361,7 @@ class GroebnerEngine:
             new = self._update_pairs(new, comp, lm)
         shift = self.module.shifts[comp]
         for lcm_m, j in new:
-            heapq.heappush(self._pairs, (sum(lcm_m) + shift, j, idx, lcm_m))
+            heappush(self._pairs, (sum(lcm_m) + shift, j, idx, lcm_m))
         return idx
 
     def _update_pairs(self, new, comp, lm):
@@ -346,7 +386,7 @@ class GroebnerEngine:
                    or tuple(map(max, rows[entry[2]].mono, lm)) == entry[3]]
         if len(pending) < len(pairs):
             pairs[:] = pending
-            heapq.heapify(pairs)
+            heapify(pairs)
         ideal = self.module.rank == 1 and not self.track
         degree = sum(lm)
         kept, coprime = [], set()
@@ -362,8 +402,12 @@ class GroebnerEngine:
     def _insert(self, vec, rep, syzygy=True):
         """Reduce the integer vec, whose representation is rep (None
         untracked); keep the remainder as a new row and return True, or
-        record rep as a syzygy (if syzygy) when it is 0."""
-        rem, _ = _reduce(vec, self.rows, self._lead_index, self.keys, rep)
+        record rep as a syzygy (if syzygy) when it is 0.  rep follows the
+        reduction (`_replay`) only if it is kept, as a row or a syzygy."""
+        steps = None if rep is None else []
+        rem, _ = _reduce(vec, self.rows, self._lead_index, self.keys, steps)
+        if steps and (rem or syzygy):
+            _replay(rep, steps)
         if rem:
             self._append_row(rem, rep)
         elif rep and syzygy:
@@ -418,20 +462,22 @@ class GroebnerEngine:
         while pairs and (max_degree is None or pairs[0][0] <= max_degree):
             self._pairs_done += 1
             self.session.charge_pair()
-            deg, i, j, lcm_m = heapq.heappop(pairs)
+            deg, i, j, lcm_m = heappop(pairs)
             if deg > self.cap:
                 raise degree_overflow(deg)
             ri, rj = self.rows[i], self.rows[j]
             lcm_key = self.keys.key(deg, ri.comp, lcm_m)
             di, dj = lcm_key - ri.lead, lcm_key - rj.lead
-            # cofactors (a_j/g, -a_i/g) cancel the lead terms
+            # cofactors (a_j/g, -a_i/g) cancel the lead terms, so the
+            # S-vector is that of the tails
             g = gcd(ri.lc, rj.lc)
             fi, fj = rj.lc // g, ri.lc // g
-            vec, rep = {}, {} if self.track else None
-            for r, f, delta in ((ri, -fi, di), (rj, fj, dj)):
-                _isub_scaled(vec, r.vec.items(), f, delta)
-                if rep is not None:
-                    _isub_scaled(rep, r.rep.items(), f, delta)
+            vec = {t + di: fi * c for t, c in ri.tail}
+            _isub_scaled(vec, rj.tail, fj, dj)
+            rep = None
+            if self.track:
+                rep = {t + di: fi * c for t, c in ri.rep}
+                _isub_scaled(rep, rj.rep, fj, dj)
             self._insert(vec, rep)
 
     def interreduce(self, start=0):
@@ -446,11 +492,10 @@ class GroebnerEngine:
         for i, r in enumerate(self.rows):
             if r.lead >> ds > low or not any(
                     ((t | guard) - lead) & guard == guard
-                    for t in itertools.islice(r.vec, 1, None)
-                    for lead, _ in new.get(comp(t), ())):
+                    for t, _ in r.tail for lead, _ in new.get(comp(t), ())):
                 continue
-            tail = dict(itertools.islice(r.vec.items(), 1, None))
-            out, scale = _reduce(tail, self.rows, self._lead_index, self.keys)
+            out, scale = _reduce(dict(r.tail), self.rows, self._lead_index,
+                                 self.keys)
             out[r.lead] = r.lc * scale
             self.rows[i] = _Row(out, None, self.keys)
 
@@ -553,15 +598,29 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
     is linear and the reducers are chosen by row leads alone, so each
     recorded syzygy is a positive multiple of the projection of the one
     full representations would give: the monic kernel is the same.
+
+    A column enters as its integer vector (`ModuleElement.packed`), which
+    a caller may build as such.  A relation polynomial that several rows
+    share (the same object) is encoded once per row shift, in the first
+    such row, and moved to the others by adding the difference of their
+    component fields to every key.
     """
     columns = list(columns)
     if len(columns) != source.rank:
         raise StructuralError("column count does not match source rank")
     eng = GroebnerEngine(target, track=True, every_pair=True)
     for j, col in enumerate(columns):
-        eng.add_generator(col.vec, source.shifts[j])
+        ivec, k = col.packed()
+        eng.add_vector(dict(ivec), source.shifts[j], k)
+    cs, first = eng.keys.comp_shift, {}     # (id(q), shift) -> (row, vector)
     for (r, q) in (relations or []):
-        eng._insert(eng._encode({(r, m): c for m, c in q.terms.items()})[1], {})
+        key = id(q), target.shifts[r]
+        if key not in first:
+            first[key] = r, eng._encode({(r, m): c
+                                         for m, c in q.terms.items()})[1]
+        r0, ivec = first[key]
+        delta = (r - r0) << cs
+        eng._insert({t + delta: c for t, c in ivec.items()}, {})
     eng.complete()
     return eng.syzygy_elements(source)
 
@@ -577,9 +636,12 @@ def _minimal_level(gens, module: FreeModule):
     truncated basis decides membership exactly, in the one reduction that
     also inserts a kept candidate.  The last, full completion gives the
     syzygies of the kept generators.  A candidate is read as g = ivec / k
-    (`ModuleElement.packed`), never decoded: two candidates compare their
-    coefficients ivec_t / k pairwise by cross-multiplication, so no
-    integer exceeds two coefficients times two scales.
+    (`ModuleElement.packed`), never decoded.  Its terms are ordered by
+    (component, exponents with x1 first), each as one integer read off its
+    key (`_term_order`); two candidates compare their coefficients
+    ivec_t / k pairwise by cross-multiplication, so no integer exceeds two
+    coefficients times two scales.  A candidate that reduces to zero is
+    dropped before its representation is touched (`GroebnerEngine._insert`).
 
     Returns (kept, F, syzygies, engine): F is the free module on the kept
     generators (shifts = their degrees), the syzygies are distinct
@@ -589,8 +651,9 @@ def _minimal_level(gens, module: FreeModule):
     eng = GroebnerEngine(module, track=True)
     if any(g.module != module for g in gens):
         raise StructuralError("generators live in different free modules")
-    term = eng.keys.term
-    cands = [(g.degree(), sorted((term(t)[1:], t) for t in ivec), ivec, k, g)
+    order = _term_order(eng.keys)
+    cands = [(g.degree(), sorted((order(t), c) for t, c in ivec.items()),
+              ivec, k, g)
              for g in gens if not g.is_zero() for ivec, k in [g.packed()]]
 
     def canonical(a, b):
@@ -598,9 +661,12 @@ def _minimal_level(gens, module: FreeModule):
         ivec_t / k compared exactly by cross-multiplication."""
         if a[0] != b[0]:
             return a[0] - b[0]
+        ka, kb = a[3], b[3]
         for (sa, x), (sb, y) in zip(a[1], b[1]):
-            x = sa, a[2][x] * a[3].denominator * b[3].numerator
-            y = sb, b[2][y] * b[3].denominator * a[3].numerator
+            if sa != sb:
+                return -1 if sa < sb else 1
+            x *= ka.denominator * kb.numerator
+            y *= kb.denominator * ka.numerator
             if x != y:
                 return -1 if x < y else 1
         return len(a[1]) - len(b[1])
@@ -613,6 +679,25 @@ def _minimal_level(gens, module: FreeModule):
     eng.complete()
     F = FreeModule(module.nvars, eng.gen_degrees)
     return kept, F, eng.syzygy_elements(F), eng
+
+
+def _term_order(keys):
+    """The function that maps the key of a term (comp, m) to an integer
+    whose order, among terms of one degree, is that of the tuples
+    (comp, m_1, ..., m_n): the key keeps its degree and component fields
+    and gets its exponent fields in reverse, x1 most significant.  The
+    little-endian bytes of the exponent fields, read big-endian, reverse
+    the fields but also the two bytes within each, which one masked swap
+    puts back."""
+    mono = keys.mono_mask
+    size = mono.bit_length() // 8
+    low = int.from_bytes(b"\x00\xff" * (size // 2), "big")   # 0x00ff per field
+
+    def order(t):
+        m = t & mono
+        r = int.from_bytes(m.to_bytes(size, "little"), "big")
+        return (t ^ m) | ((r & low) << 8) | ((r >> 8) & low)
+    return order
 
 
 def minimalize_generators(gens, module: FreeModule | None = None):
@@ -635,10 +720,12 @@ def lift(v: ModuleElement, gens):
         eng.add_generator(g.vec, 0 if g.is_zero() else g.degree())
     eng.complete()
     k, ivec = eng._encode(v.vec)
-    rep = {}
-    rem, scale = _reduce(ivec, eng.rows, eng._lead_index, eng.keys, rep)
+    steps = []
+    rem, scale = _reduce(ivec, eng.rows, eng._lead_index, eng.keys, steps)
     if rem:
         return None
+    rep = {}
+    _replay(rep, steps)
     # 0 = scale * k * v + sum rep_i * gen_scales[i] * gens[i]
     total = -scale * k
     coeffs = [{} for _ in gens]

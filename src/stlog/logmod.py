@@ -11,6 +11,10 @@ entry of column I = J u {i} is the signed coefficient of alpha_H at x_i.
 Evaluation of an alternating p-derivation is S-multilinear in the
 differentials of its arguments, so coordinate test slots suffice.
 
+The two ends need no Groebner basis: D^0 = S, and D^l = Q(A,m) * Omega^0
+= S * Q(A,m) d_1 ^ ... ^ d_l, both free of rank one, generated by 1 and
+by Q(A,m) made monic in the engine's order.
+
 Omega^p(A,m) is never computed independently: it is D^{l-p}(A,m) with
 all internal degrees shifted down by |m| (D^p = Q(A,m) * Omega^{l-p}).
 The grading follows deg d/dx_i = deg dx_i = 0, so Omega degrees can be
@@ -23,15 +27,17 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .arrangement import (Arrangement, Multiplicity, defining_polynomial,
-                          is_essential, render)
+                          is_essential)
 from . import session
 from .exceptions import CertificateError, StructuralError
 from .groebner import (BettiTable, FreeModule, ModuleElement, kernel_of_map,
                        minimal_free_resolution)
-from .ratpoly import IntegerDivisor, PackedKeys, Polynomial, RationalSeries
+from .ratpoly import (MAX_EXPONENT, IntegerDivisor, PackedKeys, Polynomial,
+                      RationalSeries, degree_overflow)
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,7 @@ def _constraint_rows(arr: Arrangement, p: int):
 
 
 def _column_entries(arr: Arrangement, p: int, cols, rows):
-    """Constant matrix of the evaluation map, as {(row, col): Fraction}."""
+    """Constant matrix of the evaluation map, as {(row, col): int}."""
     row_pos = {label: r for r, label in enumerate(rows)}
     entries = {}
     for ci, I in enumerate(cols):
@@ -109,23 +115,62 @@ def derivation_module(arr: Arrangement, mult: Multiplicity,
 
     Computed once per request: a repeated call inside one
     `session.request()` returns the same object and costs no S-pairs.
+    D^0 and D^l are read off in closed form (`_principal`).
     """
     ell = arr.ell
     if not 0 <= p <= ell:
         raise StructuralError(f"order p={p} out of range 0..{ell}")
     modules = session.current().modules
-    key = (render(arr, mult), p)
+    key = cache_key(arr, mult, p)
     if key in modules:
         return modules[key]
 
-    if p == 0:
-        gens = (FreeModule(ell, [0]).basis_element(0),)
-        betti = BettiTable({(0, 0): 1})
+    if p in (0, ell):
+        gens, betti = _principal(arr, mult, p)
     else:
         gens, betti = _resolve_dp(arr, mult, p)
     mod = LogModule("D", p, gens, betti, betti.hilbert_series(ell))
     modules[key] = mod
     return mod
+
+
+def cache_key(arr: Arrangement, mult: Multiplicity, p: int):
+    """The key of D^p(A,m) among a session's results: the coefficient
+    tuples of the hyperplanes, in their canonical order, and the
+    multiplicities."""
+    return arr.ell, tuple(h.coeffs for h in arr.hyperplanes), mult.values, p
+
+
+def _principal(arr: Arrangement, mult: Multiplicity, p: int):
+    """The one generator and Betti table of D^0 = S (p = 0) or of
+    D^l = S * Q(A,m) (p = l), as a resolution would give them.
+    Q(A,m) = prod alpha_H^{m(H)} is multiplied out in integers in packed
+    keys, where a product of terms is the sum of their keys.  Each
+    alpha_H is primitive with its lead, the first coefficient, positive
+    (`Hyperplane`), so Q is primitive (Gauss's lemma) with positive lead:
+    the vector an engine hands out (`ModuleElement.packed`), which
+    decodes monic.  The membership audit checks D^l's generator."""
+    ell = arr.ell
+    n = mult.total if p else 0
+    if n > MAX_EXPONENT:
+        raise degree_overflow(n)
+    keys = PackedKeys(ell)
+    zero = (0,) * ell
+    units = [keys.key(1, 0, zero[:i] + (1,) + zero[i + 1:])
+             for i in range(ell)]
+    q = {keys.key(0, 0, zero): 1}
+    for h, m in zip(arr.hyperplanes, mult.values if p else ()):
+        form = [(u, c) for u, c in zip(units, h.coeffs) if c]
+        for _ in range(m):
+            prod = {}
+            for t, c in q.items():
+                for u, a in form:
+                    prod[t + u] = prod.get(t + u, 0) + c * a
+            q = {t: c for t, c in prod.items() if c}
+    gens = (ModuleElement(FreeModule(ell, [0]), None, (q, q[min(q)], keys)),)
+    if p:
+        _audit_membership(arr, mult, p, gens)
+    return gens, BettiTable({(0, n): 1})
 
 
 def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
@@ -139,10 +184,17 @@ def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
     source = FreeModule(nvars, [0] * len(cols))
     target = FreeModule(nvars, [0] * len(rows))
     entries = _column_entries(arr, p, cols, rows)
+    # each constant column as the primitive integer vector and scale that
+    # the engine would encode it to
+    keys = PackedKeys(nvars)
     vecs = [{} for _ in cols]
     for (r, ci), v in entries.items():
-        vecs[ci][(r, (0,) * nvars)] = Fraction(v)
-    columns = [ModuleElement(target, vec) for vec in vecs]
+        vecs[ci][keys.key(0, r, (0,) * nvars)] = v
+    columns = []
+    for vec in vecs:
+        g = gcd(*vec.values()) or 1
+        columns.append(ModuleElement(target, None, (
+            {t: c // g for t, c in vec.items()}, Fraction(1, g), keys)))
     powers = [h.form() ** mult.values[hi]
               for hi, h in enumerate(arr.hyperplanes)]
     relations = [(r, powers[hi]) for r, (hi, _) in enumerate(rows)]

@@ -22,7 +22,7 @@ class Session:
     def __init__(self, max_pairs: int = DEFAULT_MAX_PAIRS):
         self.max_pairs = max_pairs
         self.pairs = 0
-        self.modules: dict = {}     # (render(arr, mult), p) -> LogModule
+        self.modules: dict = {}     # logmod.cache_key(...) -> LogModule
 
     def charge_pair(self):
         self.pairs += 1

@@ -214,17 +214,19 @@ def test_exit_code_genericity_budget(capsys, ex1_path):
 
 # -- one S-pair budget per request ------------------------------------------
 # D^2 of ex2_B takes 60 S-pairs over its four engines (kernel and three
-# resolution levels); `tame` computes D^0..D^4, 144 S-pairs in all.  The
-# kernel engine processes every pair, because its syzygies are the
-# presentation it returns; the resolution level engines skip the pairs the
-# Gebauer-Moeller criteria make redundant (71 and 159 without them), all
-# but the coprime-lead one, which would lose syzygies.  `st-algebra` on
-# ex2_A takes 98, most of them in the untracked colength engine, which
-# skips with every criterion (384 without them).
+# resolution levels); `tame` computes D^0..D^4, 136 S-pairs in all, none
+# for D^0 and D^4, which are read off in closed form (D^4 took 8 when it
+# was a kernel and a resolution too).  The kernel engine processes every
+# pair, because its syzygies are the presentation it returns; the
+# resolution level engines skip the pairs the Gebauer-Moeller criteria
+# make redundant (71 and 151 without them), all but the coprime-lead one,
+# which would lose syzygies.  `st-algebra` on ex2_A takes 98, most of them
+# in the untracked colength engine, which skips with every criterion (384
+# without them).
 
 @pytest.mark.parametrize("command, budget, code", [
     (("betti", "-p", "2"), 59, 3), (("betti", "-p", "2"), 60, 0),
-    (("tame",), 143, 3), (("tame",), 144, 0),
+    (("tame",), 135, 3), (("tame",), 136, 0),
     (("st-algebra",), 97, 3), (("st-algebra",), 98, 0)])
 def test_max_pairs_bounds_the_whole_request(capsys, tmp_path, command,
                                             budget, code):

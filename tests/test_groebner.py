@@ -9,6 +9,7 @@ import copy
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -839,6 +840,141 @@ def test_packed_keys_agree_with_term_tuples(data):
     ds = data.draw(st.integers(-5, 2 ** 20))
     delta = keys.key(ds, 0, s) - keys.key(0, 0, mono_zero(n))
     assert k1 + delta == keys.key(d1 + ds, c1, mono_mul(m1, s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_term_order_key_sorts_like_component_and_exponents(data):
+    # among terms of one degree, the integer `_minimal_level` reads off a
+    # key orders like (comp, m_1, ..., m_n), x1 first
+    n = data.draw(st.integers(1, 6))
+    keys = PackedKeys(n)
+    order = groebner._term_order(keys)
+    d = data.draw(st.integers(0, MAX_EXPONENT))
+    mono = st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1).map(
+        lambda cuts: tuple(b - a for a, b in zip([0, *sorted(cuts)],
+                                                  [*sorted(cuts), d])))
+    terms = data.draw(st.lists(st.tuples(st.integers(0, 5), mono),
+                               min_size=2, max_size=12, unique=True))
+    ranked = sorted(terms, key=lambda cm: order(keys.key(d, *cm)))
+    assert ranked == sorted(terms)
+
+
+# -- the reduction loop against the loop it replaced -------------------------
+
+def reduce_by_min(rem, rows, lead_index, keys, rep=None):
+    """Reference reduction: the lead found by min() after every step, and
+    the representation rep updated alongside the remainder."""
+    out, scale, guard = {}, 1, keys.guard
+    while rem:
+        t = min(rem)
+        c = rem.pop(t)
+        for lead, i in lead_index.get(keys.comp(t), ()):
+            if ((t | guard) - lead) & guard == guard:
+                break
+        else:
+            out[t] = c
+            continue
+        row = rows[i]
+        g = gcd(row.lc, c)
+        f = row.lc // g
+        if f != 1:
+            scale *= f
+            for d in (rem, out) if rep is None else (rem, out, rep):
+                for k in d:
+                    d[k] *= f
+        delta = t - lead
+        groebner._isub_scaled(rem, list(row.vec.items())[1:], c // g, delta)
+        if rep is not None:
+            groebner._isub_scaled(rep, row.rep, c // g, delta)
+    return out, scale
+
+
+@st.composite
+def integer_vectors(draw, keys, nvars, shifts, degrees, coeffs):
+    """An integer vector {key: c} with terms x^m e_j, deg m in degrees,
+    in the keys of a free module with the given shifts."""
+    vec = {}
+    for _ in range(draw(st.integers(1, 8))):
+        j = draw(st.integers(0, len(shifts) - 1))
+        d = draw(st.sampled_from(degrees))
+        m = draw(st.sampled_from(monomials_of_degree(nvars, d)))
+        c = draw(coeffs)
+        if c:
+            vec[keys.key(d + shifts[j], j, m)] = c
+    return vec
+
+
+@settings(max_examples=80, deadline=None)
+@given(submodules(min_rank=1), st.data())
+def test_heap_reduce_matches_a_min_based_reference(sub, data):
+    # against the rows of a completed tracked engine: the same (out,
+    # scale) and, replayed, the same representation, dict order included,
+    # on vectors that need not be homogeneous, with small and with wide
+    # coefficients
+    module, gens = sub
+    if not gens:
+        return
+    eng = GroebnerEngine(module, track=True)
+    for g in gens:
+        eng.add_generator(g.vec, g.degree())
+    eng.complete()
+    coeffs = data.draw(st.sampled_from([st.integers(-5, 5),
+                                        st.integers(-2 ** 70, 2 ** 70)]))
+    n = module.nvars
+    vec = data.draw(integer_vectors(eng.keys, n, module.shifts,
+                                    [0, 1, 2, 3], coeffs))
+    rep = data.draw(integer_vectors(eng.keys, n, eng.gen_degrees,
+                                    [0, 1], coeffs))
+    steps = []
+    out, scale = groebner._reduce(dict(vec), eng.rows, eng._lead_index,
+                                  eng.keys, steps)
+    replayed = dict(rep)
+    groebner._replay(replayed, steps)
+    expected = dict(rep)
+    want_out, want_scale = reduce_by_min(dict(vec), eng.rows, eng._lead_index,
+                                         eng.keys, expected)
+    assert list(out.items()) == list(want_out.items())
+    assert scale == want_scale
+    assert list(replayed.items()) == list(expected.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(submodules(min_rank=1), st.data())
+def test_kept_candidate_row_is_the_same_with_deferred_replay(sub, data):
+    # candidates fed as `_minimal_level` feeds them, some of them multiples
+    # x_i * g of others: a kept one's row (vector, lead and representation,
+    # dict order included) is the one that reducing with its
+    # representation alongside gives, and a dropped one reduces to zero
+    # and leaves no syzygy
+    module, gens = sub
+    if not gens:
+        return
+    x = variables(module.nvars)
+    cands = list(gens)
+    for _ in range(data.draw(st.integers(0, 3))):
+        g = data.draw(st.sampled_from(gens))
+        xi = data.draw(st.sampled_from(x))
+        cands.append(module.element([c * xi for c in g.components()]))
+    cands.sort(key=ModuleElement.degree)
+    eng = GroebnerEngine(module, track=True)
+    for g in cands:
+        d = g.degree()
+        eng.complete(max_degree=d)
+        ivec, k = g.packed()
+        gi = len(eng.gen_degrees)
+        rep = {eng.keys.key(d, gi, mono_zero(module.nvars)): 1}
+        want, _ = reduce_by_min(dict(ivec), eng.rows, eng._lead_index,
+                                eng.keys, rep)
+        syzygies = len(eng.syzygies)
+        got = eng.add_vector(dict(ivec), d, k, minimal=True)
+        if not want:
+            assert got is None and len(eng.syzygies) == syzygies
+            continue
+        assert got == gi
+        row, ref = eng.rows[-1], groebner._Row(want, rep, eng.keys)
+        assert (row.lead, row.lc, list(row.vec.items()), row.rep) == \
+            (ref.lead, ref.lc, list(ref.vec.items()), ref.rep)
 
 
 def test_degree_beyond_a_packed_field_is_a_budget_error():

@@ -6,14 +6,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stlog import groebner, logmod, session
 from stlog.arrangement import Arrangement, Hyperplane, Multiplicity, parse
 from stlog.exceptions import CertificateError, StructuralError
 from stlog.fixtures import load
-from stlog.groebner import free_module_hilbert
+from stlog.groebner import BettiTable, free_module_hilbert
 from stlog.ratpoly import (PackedKeys, LaurentPolynomial, Polynomial,
                            RationalSeries, integer_terms)
 from stlog.verify import PAPER_CORPUS
@@ -268,6 +268,34 @@ def test_audit_agrees_with_an_every_j_oracle(arr_mult, data):
         logmod._audit_membership(arr, mult, p, gens)
     assert str(exc.value) == (f"membership audit failed for D^{p} generator "
                               f"at hyperplane {expected}")
+
+
+def assert_top_module_matches_the_kernel(arr, mult):
+    """D^l in closed form against the kernel of the constraint system and
+    its minimal resolution: the same monic generator, the same primitive
+    integer vector and scale, the same Betti table."""
+    ell = arr.ell
+    with session.request() as current:
+        top = logmod.derivation_module(arr, mult, ell)
+        assert current.pairs == 0
+    gens, betti = logmod._resolve_dp(arr, mult, ell)
+    assert top.generators == gens
+    assert [g.packed() for g in top.generators] == [g.packed() for g in gens]
+    assert top.betti == betti == BettiTable({(0, mult.total): 1})
+
+
+@pytest.mark.parametrize("name", PAPER_CORPUS)
+def test_top_module_closed_form_matches_the_kernel_on_fixtures(name):
+    assert_top_module_matches_the_kernel(*load(name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(multiarrangements())
+@example(parse("ell 3\nH 0 1 0 m=2\nH 1 0 0\nH 1 2 0 m=3\n"))
+def test_top_module_closed_form_matches_the_kernel(arr_mult):
+    # rank 4 draws at most three hyperplanes, so many draws are not
+    # essential; the example is not essential either (no x3)
+    assert_top_module_matches_the_kernel(*arr_mult)
 
 
 def test_audit_reads_a_positive_multiple_of_each_generator():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlog import lattice, logmod, session, stpoly
-from stlog.arrangement import Multiplicity, parse, render
+from stlog.arrangement import Multiplicity, parse
 from stlog.exceptions import (CertificateError, GenericityNotFoundError,
                               NonDivisibleError, NonGenericEtaError,
                               StructuralError)
@@ -283,7 +283,7 @@ def test_st_bipoly_rejects_a_betti_table_off_by_one():
         low = min(d for i, d in counts if i == 0)
         counts[(0, low)] += 1
         betti = BettiTable(counts)
-        req.modules[(render(arr, mult), 1)] = dataclasses.replace(
+        req.modules[logmod.cache_key(arr, mult, 1)] = dataclasses.replace(
             d1, betti=betti, hilb=betti.hilbert_series(arr.ell))
         with pytest.raises(CertificateError, match=(
                 r"^t\^0 coefficient of the Psi numerator is not divisible "
