@@ -3,7 +3,7 @@
 Logarithmic derivation and differential-form modules with minimal free
 resolutions, Betti tables, regularity and Hilbert series; freeness and
 tameness certificates; Solomon-Terao bi-polynomials, polynomials,
-ideals, algebras, and complexes; plus a verification harness and CLI.
+ideals and algebras; plus a verification harness and CLI.
 """
 
 from .arrangement import Arrangement, Hyperplane, Multiplicity, parse

@@ -1,5 +1,5 @@
 """Hyperplane (multi)arrangements: parsing, canonical form, rank,
-essentialization, deletion, restriction, product decomposition.
+essentialization, product decomposition.
 
 File format (UTF-8 text): '#' starts a comment, the first directive is
 `ell <int>`, then one `H c1 c2 ... cl [m=<int>]` line per hyperplane.
@@ -85,12 +85,6 @@ class Arrangement:
 
     def __repr__(self):
         return f"Arrangement(ell={self.ell}, n={self.n})"
-
-    def index_of(self, h: Hyperplane) -> int:
-        try:
-            return self.hyperplanes.index(h)
-        except ValueError:
-            raise StructuralError(f"hyperplane {h!r} not in arrangement")
 
 
 class Multiplicity:
@@ -251,32 +245,6 @@ def essentialize(arr: Arrangement, mult: Multiplicity):
         for h, m in zip(arr.hyperplanes, mult.values))
     return (Arrangement(r, [h for h, _ in pairs]),
             Multiplicity([m for _, m in pairs]))
-
-
-def delete(arr: Arrangement, mult: Multiplicity, h: Hyperplane):
-    """Remove one hyperplane, carrying the remaining multiplicities."""
-    idx = arr.index_of(h)
-    pairs = [(hp, m) for i, (hp, m) in
-             enumerate(zip(arr.hyperplanes, mult.values)) if i != idx]
-    return (Arrangement(arr.ell, [hp for hp, _ in pairs]),
-            Multiplicity([m for _, m in pairs]))
-
-
-def restrict(arr: Arrangement, mult: Multiplicity, h: Hyperplane) -> Arrangement:
-    """Restriction A^H for a simple arrangement: deduplicated traces on H."""
-    if not mult.is_simple():
-        raise StructuralError("restriction is defined only for m == 1")
-    arr.index_of(h)
-    basis = linalg.kernel_basis([h.coeffs])
-    traces = set()
-    for other in arr.hyperplanes:
-        if other == h:
-            continue
-        image = [sum(c * b for c, b in zip(other.coeffs, bvec))
-                 for bvec in basis]
-        if any(image):
-            traces.add(Hyperplane(image))
-    return Arrangement(arr.ell - 1, sorted(traces))
 
 
 def decompose_product(arr: Arrangement, mult: Multiplicity):

@@ -260,6 +260,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+def _budget(text: str) -> int:
+    """An S-pair budget: an int, and not negative (0 allows no S-pair)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="stlog",
@@ -273,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", help="arrangement file")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.add_argument("--max-pairs", type=int,
+        p.add_argument("--max-pairs", type=_budget,
                        default=session.DEFAULT_MAX_PAIRS,
                        help="S-pair budget of the whole request "
                             "(default %(default)s)")

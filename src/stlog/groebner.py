@@ -8,12 +8,12 @@ degree-first comparison using the shifts.  Buchberger with module
 S-pairs; syzygies come from recording the representation of every basis
 element in terms of the original generators and collecting the
 relations produced by S-pairs that reduce to zero (Schreyer).  One
-reduction loop, `_reduce`, serves the engine, `normal_form`, `lift`
-and the reduced basis.  It pops each lead from a heap of the
-remainder's keys, reads each row's tail from items stored once, and
-leaves the representation alone: it logs its steps, and `_replay`
-applies them to the representation when the result is kept, so a
-candidate that reduces to zero costs no representation work.
+reduction loop, `_reduce`, serves the engine, `normal_form` and the
+reduced basis.  It pops each lead from a heap of the remainder's keys,
+reads each row's tail from items stored once, and leaves the
+representation alone: it logs its steps, and `_replay` applies them to
+the representation when the result is kept, so a candidate that
+reduces to zero costs no representation work.
 
 An engine skips the S-pairs that the Gebauer-Moeller criteria prove
 redundant (Gebauer-Moeller, On an installation of Buchberger's algorithm,
@@ -21,8 +21,8 @@ JSC 1988), unless its caller asks for every pair.  For syzygies this
 holds because the criteria keep a generating set of the syzygies of the
 lead terms, whose lifts generate Syz(G) (Schreyer).  The coprime-lead
 criterion drops the Koszul syzygies, so only an untracked engine over an
-ideal uses it.  `kernel_of_map` and `lift` process every pair: their
-outputs are presentations, which skipping would change (not make wrong).
+ideal uses it.  Only `kernel_of_map` processes every pair: its output is
+a presentation, which skipping would change (not make wrong).
 
 A minimal free resolution builds each of its modules with one tracked
 engine (`_minimal_level`): the candidates are fed by increasing degree,
@@ -94,9 +94,6 @@ class FreeModule:
 
     def __repr__(self):
         return f"FreeModule(nvars={self.nvars}, shifts={list(self.shifts)})"
-
-    def basis_element(self, j: int) -> "ModuleElement":
-        return ModuleElement(self, {(j, mono_zero(self.nvars)): Fraction(1)})
 
     def element(self, components) -> "ModuleElement":
         """Build from a sequence of Polynomial, one per generator."""
@@ -172,9 +169,6 @@ class ModuleElement:
 
     def __hash__(self):
         return hash((self.module, frozenset(self.vec.items())))
-
-    def canonical_key(self):
-        return tuple(sorted(self.vec.items()))
 
     def __repr__(self):
         comps = ", ".join(str(p) for p in self.components())
@@ -303,9 +297,8 @@ def _replay(rep, steps):
     place: multiplied by the same factors, minus the same multiples of
     the rows' representations, in the same order.  So if rep starts as
     the representation of the reduced vector, it ends as that of the
-    remainder; if it starts empty, remainder = scale * vector + (the
-    combination rep describes).  A caller that may drop the remainder
-    replays only when it keeps it."""
+    remainder.  A caller that may drop the remainder replays only when it
+    keeps it."""
     for f, q, delta, row in steps:
         if f != 1:
             for k, v in rep.items():
@@ -709,32 +702,6 @@ def minimalize_generators(gens, module: FreeModule | None = None):
     return _minimal_level(gens, module or gens[0].module)[0]
 
 
-def lift(v: ModuleElement, gens):
-    """Express v as sum q_i * gens[i]; returns [Polynomial] or None.
-
-    None means v is not in the submodule generated by gens.
-    """
-    module = v.module
-    eng = GroebnerEngine(module, track=True, every_pair=True)
-    for g in gens:
-        eng.add_generator(g.vec, 0 if g.is_zero() else g.degree())
-    eng.complete()
-    k, ivec = eng._encode(v.vec)
-    steps = []
-    rem, scale = _reduce(ivec, eng.rows, eng._lead_index, eng.keys, steps)
-    if rem:
-        return None
-    rep = {}
-    _replay(rep, steps)
-    # 0 = scale * k * v + sum rep_i * gen_scales[i] * gens[i]
-    total = -scale * k
-    coeffs = [{} for _ in gens]
-    for t, c in rep.items():
-        _, i, m = eng.keys.term(t)
-        coeffs[i][m] = c * eng.gen_scales[i] / total
-    return [Polynomial(module.nvars, t) for t in coeffs]
-
-
 # ---------------------------------------------------------------------------
 # resolutions
 
@@ -948,15 +915,6 @@ def _quotient_numerator(gens):
     for k, c in _quotient_numerator(colon).items():
         num[k + 1] += c
     return num
-
-
-def hilbert_series(res: Resolution) -> RationalSeries:
-    """Hilbert series of the module res resolves, from its Betti table."""
-    return res.betti().hilbert_series(res.nvars)
-
-
-def free_module_hilbert(nvars: int, shifts) -> RationalSeries:
-    return BettiTable(Counter((0, s) for s in shifts)).hilbert_series(nvars)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Intersection lattice, Moebius function, characteristic and Poincare
-polynomials of a simple central arrangement, in which every subset meets.
+"""Intersection lattice, Moebius function and characteristic polynomial
+of a simple central arrangement, in which every subset meets.
 
 A flat X is keyed by the hyperplanes containing it and keeps a primitive
 integer basis y_a of its subspace.  With k_a = alpha_H(y_a) and k_b != 0,
@@ -88,12 +88,4 @@ def characteristic_polynomial(arr: Arrangement,
     terms = Counter()
     for entry in report or lattice_report(arr):
         terms[arr.ell - entry["codim"]] += entry["mu"]
-    return LaurentPolynomial(terms)
-
-
-def poincare_polynomial(arr: Arrangement) -> LaurentPolynomial:
-    """pi(A;t) = sum mu(X) (-t)^codim(X)."""
-    terms = Counter()
-    for entry in lattice_report(arr):
-        terms[entry["codim"]] += (-1) ** entry["codim"] * entry["mu"]
     return LaurentPolynomial(terms)

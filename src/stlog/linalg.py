@@ -1,9 +1,9 @@
-"""Small exact linear algebra helpers over Q (row echelon, rank, kernels)."""
+"""Small exact linear algebra helpers over Q (row echelon, rank, row-span
+membership)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 
 def rref(rows):
@@ -49,29 +49,3 @@ def in_row_span(vector, echelon_rows) -> bool:
             f = v[pivot]
             v = [a - f * b for a, b in zip(v, row)]
     return not any(v)
-
-
-def kernel_basis(rows):
-    """Deterministic rational basis of {v : A v = 0}, scaled to integers."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    ech, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(ech, pivots):
-            v[pc] = -row[fc]
-        basis.append(integerize(v))
-    return basis
-
-
-def integerize(vector):
-    """Scale a rational vector to a primitive integer vector."""
-    scale = lcm(*(x.denominator for x in vector))
-    ints = [x.numerator * (scale // x.denominator) for x in vector]
-    g = gcd(*ints) or 1
-    return tuple(x // g for x in ints)
-

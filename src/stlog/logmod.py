@@ -24,7 +24,6 @@ negative.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -294,13 +293,6 @@ def omega_module(arr: Arrangement, mult: Multiplicity, p: int) -> LogModule:
     return mod
 
 
-def euler_derivation(arr: Arrangement) -> ModuleElement:
-    """theta_E = sum x_i d/dx_i, an element of S^l of degree 1."""
-    ell = arr.ell
-    F = FreeModule(ell, [0] * ell)
-    return F.element([Polynomial.variable(i, ell) for i in range(ell)])
-
-
 def poly_det(rows) -> Polynomial:
     """Determinant of a square matrix of polynomials (Laplace expansion)."""
     n = len(rows)
@@ -357,26 +349,3 @@ def is_tame(arr: Arrangement, mult: Multiplicity):
     for p in range(ell + 1):
         table[p] = derivation_module(arr, mult, ell - p).pd
     return all(table[p] <= p for p in table), table
-
-
-def wedge_power_free(arr: Arrangement, mult: Multiplicity,
-                     p: int) -> LogModule:
-    """D^p of a certified free (A,m), built as p-fold wedges of the basis."""
-    cert = is_free(arr, mult)
-    if cert is None:
-        raise StructuralError("wedge_power_free requires a free multiarrangement")
-    ell = arr.ell
-    if not 0 <= p <= ell:
-        raise StructuralError(f"order p={p} out of range 0..{ell}")
-    basis = derivation_module(arr, mult, 1).generators
-    cols = _subset_index(ell, p)
-    source = FreeModule(ell, [0] * len(cols))
-    gens = []
-    for K in itertools.combinations(range(ell), p):
-        comps = []
-        for I in cols:
-            minor = [[basis[k].component(i) for i in I] for k in K]
-            comps.append(poly_det(minor) if minor else Polynomial.one(ell))
-        gens.append(source.element(comps))
-    betti = BettiTable(Counter((0, g.degree()) for g in gens))
-    return LogModule("D", p, tuple(gens), betti, betti.hilbert_series(ell))

@@ -14,20 +14,22 @@ abelian monoid so the Groebner engine can share them.
 Division by one polynomial (Monagan-Pearce, Sparse polynomial division
 using a heap, JSC 2011) keys each remainder term once, when it enters,
 by `_key`, and takes the grevlex lead from a heap.  `Polynomial.divide`
-is the one general division loop (`exact_divide` divides in one variable
-after a shift to valuation 0); division by (1-x)^r is synthetic, one
-prefix sum per factor (`divide_one_minus_x`).  Divisibility is decided
-in integers: `IntegerDivisor` makes the divisor primitive over Z, so by
-Gauss's lemma the quotient of an integral dividend is integral, and the
-first lead term that the divisor's lead does not divide, or that leaves
-a nonzero integer remainder, proves non-divisibility at once.  Its terms
-are packed exponent vectors (`PackedKeys`): one int per term, so a shift
-is one addition and the lead test one subtraction and a mask.  The
-Groebner engine imports the same packing, and the membership audit reads
-each generator as the engine's primitive integer vector in it (scaling
-leaves membership unchanged); this module imports nothing from
-`groebner`, so the audit's arithmetic stays independent of the engine it
-audits.
+is the one general division loop.  `exact_divide` runs it in one
+variable after a shift to valuation 0: no command calls it, and it is
+kept as the tests' reference for long division.  Division by (1-x)^r is
+synthetic, one prefix sum per factor (`divide_one_minus_x`).
+
+Divisibility is decided in integers: `IntegerDivisor` makes the divisor
+primitive over Z, so by Gauss's lemma the quotient of an integral
+dividend is integral, and the first lead term that the divisor's lead
+does not divide, or that leaves a nonzero integer remainder, proves
+non-divisibility at once.  Its terms are packed exponent vectors
+(`PackedKeys`): one int per term, so a shift is one addition and the
+lead test one subtraction and a mask.  The Groebner engine imports the
+same packing, and the membership audit reads each generator as the
+engine's primitive integer vector in it (scaling leaves membership
+unchanged); this module imports nothing from `groebner`, so the audit's
+arithmetic stays independent of the engine it audits.
 """
 
 from __future__ import annotations
@@ -398,13 +400,6 @@ class Polynomial(_Sparse):
     def to_json(self):
         return [{"c": str(c), "e": list(m)} for m, c in self.sorted_terms()]
 
-    @classmethod
-    def from_json(cls, data, nvars: int) -> "Polynomial":
-        terms = {}
-        for entry in data:
-            terms[tuple(entry["e"])] = Fraction(entry["c"])
-        return cls(nvars, terms)
-
 
 def integer_terms(terms):
     """Fraction values times the lcm of their denominators, as integers
@@ -597,9 +592,6 @@ def exact_divide(n: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomia
     return LaurentPolynomial({e + nv - dv: c for (e,), c in q.terms.items()})
 
 
-ONE_MINUS_X = LaurentPolynomial({0: 1, 1: -1})
-
-
 def divide_one_minus_x(terms, r: int):
     """{e: c} / (1-x)^r without zeros, or None when inexact.  Synthetic
     division: f = (1-x) q makes q_e = f_lo + ... + f_e, a prefix sum over
@@ -631,19 +623,6 @@ class RationalSeries:
             numerator, denom_power = LaurentPolynomial(q), denom_power - 1
         self.numerator = numerator
         self.denom_power = denom_power
-
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        k = max(self.denom_power, other.denom_power)
-        return RationalSeries(
-            self.numerator * ONE_MINUS_X ** (k - self.denom_power)
-            + other.numerator * ONE_MINUS_X ** (k - other.denom_power), k)
-
-    def __sub__(self, other):
-        return self + RationalSeries(-other.numerator, other.denom_power)
-
-    def __mul__(self, other: "RationalSeries") -> "RationalSeries":
-        return RationalSeries(self.numerator * other.numerator,
-                              self.denom_power + other.denom_power)
 
     def shift(self, k: int) -> "RationalSeries":
         return RationalSeries(self.numerator.shift(k), self.denom_power)
@@ -710,10 +689,6 @@ class BiPolynomial(_Sparse):
     @classmethod
     def one(cls):
         return cls({(0, 0): 1})
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPolynomial, t_power: int = 0) -> "BiPolynomial":
-        return cls({(e, t_power): c for e, c in p.terms.items()})
 
     def t_degree(self):
         return max(te for _, te in self.terms) if self.terms else None

@@ -11,8 +11,7 @@ chi(A,m;t) = (-1)^l Psi(1,t).
 
 The algebra side: for a polynomial eta of degree d+1 the Solomon-Terao
 ideal is a = (theta(eta) : theta in D(A,m)) and the algebra is S/a,
-Artinian for generic eta.  The Solomon-Terao complex contracts each
-D^p against eta.
+Artinian for generic eta.
 """
 
 from __future__ import annotations
@@ -25,12 +24,11 @@ from math import comb
 
 from .arrangement import Arrangement, Multiplicity, is_essential
 from .exceptions import (CertificateError, GenericityNotFoundError,
-                         NonDivisibleError, NonGenericEtaError,
-                         StructuralError)
-from .groebner import lift, quotient_colength
+                         NonGenericEtaError, StructuralError)
+from .groebner import quotient_colength
 from .logmod import derivation_module
 from .ratpoly import (BiPolynomial, LaurentPolynomial, Polynomial,
-                      divide_one_minus_x, exact_divide)
+                      divide_one_minus_x)
 
 
 @dataclass
@@ -152,17 +150,6 @@ def char_polynomial_multi(arr: Arrangement,
     return st.psi.evaluate_x(1).scale((-1) ** arr.ell)
 
 
-def reduced_st(arr: Arrangement) -> LaurentPolynomial:
-    """ST+(A;x) with ST(A;x) = (1+x) ST+(A;x); simple arrangements only."""
-    mult = Multiplicity.simple(arr.n)
-    st = st_polynomial(arr, mult)
-    try:
-        return exact_divide(st, LaurentPolynomial({0: 1, 1: 1}))
-    except NonDivisibleError as exc:
-        raise CertificateError(
-            "ST(A;x) is not divisible by (1+x) for a simple arrangement") from exc
-
-
 # ---------------------------------------------------------------------------
 # Solomon-Terao ideal and algebra
 
@@ -245,143 +232,3 @@ def sample_generic_eta(arr: Arrangement, mult: Multiplicity, d: int,
     raise GenericityNotFoundError(
         f"no generic eta of degree {d + 1} found in {attempts} attempts"
         + (f"; last tried {last.eta}" if last else ""))
-
-
-# ---------------------------------------------------------------------------
-# Solomon-Terao complex
-
-@dataclass
-class STComplex:
-    """The chain complex (D^p, contraction against eta) in generator
-    coordinates.
-
-    matrices[p] (1 <= p <= l) expresses the boundary of each minimal
-    generator of D^p over the minimal generators of D^{p-1}: row i holds
-    the lift coefficients of the contracted i-th generator.
-    """
-    eta: Polynomial
-    generator_degrees: dict     # p -> sorted degrees of the D^p generators
-    matrices: dict              # p -> list of rows of Polynomial
-
-    def to_json(self):
-        return {
-            "eta": self.eta.to_json(),
-            "generator_degrees": {str(p): v for p, v in
-                                  sorted(self.generator_degrees.items())},
-            "matrices": {str(p): [[q.to_json() for q in row] for row in rows]
-                         for p, rows in sorted(self.matrices.items())},
-        }
-
-
-def _contract(theta, p: int, ell: int, grads, target_module):
-    """Contraction of a p-derivation against eta (via its gradient)."""
-    cols_p = list(itertools.combinations(range(ell), p))
-    cols_q = {I: ci for ci, I in
-              enumerate(itertools.combinations(range(ell), p - 1))}
-    out = {ci: Polynomial.zero(ell) for ci in range(len(cols_q))}
-    for ci, I in enumerate(cols_p):
-        f = theta.component(ci)
-        if f.is_zero():
-            continue
-        for k, i in enumerate(I):
-            J = tuple(x for x in I if x != i)
-            sign = 1 if k % 2 == 0 else -1
-            out[cols_q[J]] = out[cols_q[J]] + (f * grads[i]).scale(sign)
-    return target_module.element([out[ci] for ci in range(len(cols_q))])
-
-
-def st_complex(arr: Arrangement, mult: Multiplicity,
-               eta: Polynomial) -> STComplex:
-    """Boundary matrices of the Solomon-Terao complex of (A,m,eta).
-
-    Each contracted generator is lifted over the target's minimal
-    generators; the composite of consecutive boundaries is checked to be
-    zero on every generator.
-    """
-    ell = arr.ell
-    if eta.nvars != ell:
-        raise StructuralError("eta has the wrong number of variables")
-    grads = [eta.partial(i) for i in range(ell)]
-    modules = {p: derivation_module(arr, mult, p)
-               for p in range(ell + 1)}
-    matrices = {}
-    images = {}     # p -> contracted generators, as elements of rank C(l,p-1)
-    for p in range(1, ell + 1):
-        # the ambient free module the D^{p-1} generators live in
-        ambient = modules[p - 1].generators[0].module
-        rows = []
-        imgs = []
-        for theta in modules[p].generators:
-            img = _contract(theta, p, ell, grads, ambient)
-            imgs.append(img)
-            coeffs = lift(img, modules[p - 1].generators)
-            if coeffs is None:
-                raise CertificateError(
-                    f"contraction of a D^{p} generator does not lie in D^{p - 1}")
-            rows.append(coeffs)
-        matrices[p] = rows
-        images[p] = imgs
-    # d o d = 0 on raw contractions (eta repeats in two slots)
-    for p in range(2, ell + 1):
-        outm = modules[p - 2].generators[0].module
-        for img in images[p]:
-            dd = _contract(img, p - 1, ell, grads, outm)
-            if not dd.is_zero():
-                raise CertificateError(
-                    f"boundary composite D^{p} -> D^{p - 2} is nonzero")
-    return STComplex(eta,
-                     {p: modules[p].generator_degrees()
-                      for p in range(ell + 1)},
-                     matrices)
-
-
-# ---------------------------------------------------------------------------
-# leading t-coefficients
-
-def leading_t_coefficients_check(st: STBiPoly) -> dict:
-    """Closed forms of the two highest t-coefficients of Psi.
-
-    The t^l coefficient must be (-1)^l x^{|m|}.  The t^{l-1} coefficient
-    must equal (-1)^{l-1} (l x^{|m|} - f_{l-1}(x)) / (x - 1); the
-    division is always exact because f_{l-1}(1) equals the rank l of the
-    ambient free module.  When f_{l-1} is concentrated in its top two
-    degrees this collapses to the two-term display
-    (-1)^{l-1} ((l - a_{l-1}) x^{|m|} - b_{l-1} x^{|m|-1}) / (x - 1);
-    whether that collapse applies is reported but not required.
-    """
-    ell, n = st.ell, st.total
-    report = {"checks": [], "passed": True}
-
-    top = st.psi.t_coefficient(ell)
-    expected_top = LaurentPolynomial({n: (-1) ** ell})
-    ok = top == expected_top
-    report["checks"].append({
-        "name": "top_t_coefficient",
-        "computed": top.to_json(),
-        "expected": expected_top.to_json(),
-        "pass": ok,
-    })
-    report["passed"] = report["passed"] and ok
-
-    f1 = st.numerators.get(ell - 1, LaurentPolynomial.zero())
-    q = divide_one_minus_x(
-        (LaurentPolynomial({n: ell}) - f1).scale((-1) ** ell).terms, 1)
-    divisible = q is not None
-    expected_sub = LaurentPolynomial(q) if divisible else None
-    sub = st.psi.t_coefficient(ell - 1)
-    ok = divisible and sub == expected_sub
-    a1 = st.a.get(ell - 1, Fraction(0))
-    b1 = st.b.get(ell - 1, Fraction(0))
-    two_term = f1 == LaurentPolynomial({n: a1, n - 1: b1})
-    report["checks"].append({
-        "name": "second_t_coefficient",
-        "computed": sub.to_json(),
-        "expected": expected_sub.to_json() if expected_sub is not None else None,
-        "exact_division": divisible,
-        "a": str(a1),
-        "b": str(b1),
-        "two_term_form_applies": two_term,
-        "pass": ok,
-    })
-    report["passed"] = report["passed"] and ok
-    return report

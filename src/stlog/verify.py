@@ -85,6 +85,9 @@ def check_second_coefficient(arr: Arrangement, mult: Multiplicity,
     """Coefficient of x^{|m|-1} in ST equals l + (number of degree-|m|
     relations of D^{l-1})."""
     name = "second-coefficient"
+    if not is_essential(arr):
+        return CheckReport(name, subject, "not-applicable",
+                           witness={"reason": "arrangement not essential"})
     n = mult.total
     st = stpoly.st_polynomial(arr, mult)
     coeff = st.coefficient(n - 1)
@@ -92,7 +95,7 @@ def check_second_coefficient(arr: Arrangement, mult: Multiplicity,
     a = top.betti.counts.get((1, n), 0)
     tame, _ = logmod.is_tame(arr, mult)
     irreducible = is_irreducible(arr, mult)
-    applicable = tame and irreducible and is_essential(arr)
+    applicable = tame and irreducible
     ok = coeff == arr.ell + a
     return CheckReport(name, subject, _verdict(ok, applicable),
                        claimed=f"{arr.ell} + {a}",
@@ -163,8 +166,11 @@ def check_low_degree_coefficients(arr: Arrangement, mult: Multiplicity, d: int,
     """Coefficient of x^i in ST_{d+1} is dim S_i for i <= d, and the
     x^{d+1} coefficient is dim S_{d+1} - dim D(A,m)_1."""
     name = f"low-degree-coefficients[d={d}]"
+    if not is_essential(arr):
+        return CheckReport(name, subject, "not-applicable",
+                           witness={"reason": "arrangement not essential"})
     tame, _ = logmod.is_tame(arr, mult)
-    irreducible = is_essential(arr) and is_irreducible(arr, mult)
+    irreducible = is_irreducible(arr, mult)
     st = stpoly.st_polynomial_order(arr, mult, d)
     d1 = logmod.derivation_module(arr, mult, 1)
     dim_d1_degree1 = sum(1 for g in d1.generators if g.degree() == 1)
@@ -207,42 +213,6 @@ def check_st_algebra_equality(arr: Arrangement, mult: Multiplicity, d: int,
                                 "attempts": result.attempts,
                                 "colength": result.colength,
                                 "equal": equal})
-
-
-def check_product_rule(arr1: Arrangement, mult1: Multiplicity,
-                       arr2: Arrangement, mult2: Multiplicity,
-                       subject: str = "") -> CheckReport:
-    """Hilb(D^p(A1 x A2)) = sum_{i+j=p} Hilb(D^i(A1)) * Hilb(D^j(A2))."""
-    name = "product-rule"
-    l1, l2 = arr1.ell, arr2.ell
-    ell = l1 + l2
-    hps = []
-    ms = []
-    for h, m in zip(arr1.hyperplanes, mult1.values):
-        hps.append(Hyperplane(list(h.coeffs) + [0] * l2))
-        ms.append(m)
-    for h, m in zip(arr2.hyperplanes, mult2.values):
-        hps.append(Hyperplane([0] * l1 + list(h.coeffs)))
-        ms.append(m)
-    pairs = sorted(zip(hps, ms))
-    prod_arr = Arrangement(ell, [h for h, _ in pairs])
-    prod_mult = Multiplicity([m for _, m in pairs])
-    h1 = [logmod.derivation_module(arr1, mult1, i).hilb for i in range(l1 + 1)]
-    h2 = [logmod.derivation_module(arr2, mult2, j).hilb for j in range(l2 + 1)]
-    ok = True
-    rows = []
-    for p in range(ell + 1):
-        lhs = logmod.derivation_module(prod_arr, prod_mult, p).hilb
-        rhs = None
-        for i in range(max(0, p - l2), min(l1, p) + 1):
-            term = h1[i] * h2[p - i]
-            rhs = term if rhs is None else rhs + term
-        same = lhs == rhs
-        ok = ok and same
-        rows.append({"p": p, "lhs": str(lhs), "rhs": str(rhs), "equal": same})
-    return CheckReport(name, subject, _verdict(ok),
-                       claimed="Hilbert-series convolution for all p",
-                       computed=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
+import crosschecks
 from stlog import lattice, logmod, stpoly, verify
 from stlog.fixtures import load
 from stlog.groebner import FreeModule, groebner_basis, normal_form
@@ -226,18 +225,19 @@ def test_criterion_9_structural_property_suites():
         st = stpoly.st_bipoly(arr, mult)            # raises on divisibility
         if mult.is_simple():
             ok = ok and stpoly.st_polynomial(arr, mult).evaluate(-1) == 0
-    # boundary squares to zero on a certified complex
+    # the complex lands in D^{p-1} and squares to zero (raises otherwise)
     arr, mult = load("ex1")
     eta = stpoly.sample_generic_eta(arr, mult, 1, seed=0).eta
-    stpoly.st_complex(arr, mult, eta)               # raises on d o d != 0
+    crosschecks.st_complex(arr, mult, eta)
     # free-case product formulas
     for name in ("ex2_A", "bool1", "bool2", "bool3"):
         arr, mult = load(name)
         ok = ok and verify.check_free_formulas(arr, mult).verdict == "pass"
-    # product rule convolution
+    # product rule convolution (raises otherwise)
     b1, m1 = load("bool1")
-    ex1, em = load("ex1")
-    ok = ok and verify.check_product_rule(ex1, em, b1, m1).verdict == "pass"
+    b2, m2 = load("bool2")
+    crosschecks.check_product_rule(b1, m1, b2, m2)
+    crosschecks.check_product_rule(arr, mult, b1, m1)
     # Groebner vs linear algebra membership in degrees <= 6
     ok = ok and _membership_oracle_agreement()
     report(9, ok, "divisibility, d o d = 0, membership audits, ST(-1)=0, "

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlog.arrangement import (Arrangement, Hyperplane, Multiplicity,
-                               decompose_product, defining_polynomial, delete,
+                               decompose_product, defining_polynomial,
                                essentialize, is_essential, is_irreducible,
-                               parse, render, restrict)
+                               parse, render)
 from stlog.exceptions import ParseError, StructuralError
 from stlog.fixtures import load
 
@@ -85,19 +85,6 @@ def test_essentialize_identity_on_essential():
     arr, mult = load("ex1")
     ess, essm = essentialize(arr, mult)
     assert ess is arr and essm is mult
-
-
-def test_delete_and_restrict():
-    arr, mult = load("ex1")
-    h = Hyperplane([1, 1, 1])
-    smaller, sm = delete(arr, mult, h)
-    assert smaller.n == 3 and sm.total == 3
-    restricted = restrict(arr, mult, h)
-    assert restricted.ell == 2
-    # the three coordinate planes cut distinct traces on x+y+z=0
-    assert restricted.n == 3
-    with pytest.raises(StructuralError):
-        restrict(arr, Multiplicity([2, 1, 1, 1]), h)
 
 
 def test_decompose_product_boolean_splits_completely():

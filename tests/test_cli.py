@@ -103,12 +103,13 @@ def test_seed_only_where_it_is_read(capsys, ex1_path):
 
 @pytest.mark.parametrize("argv, flag", [
     (("chi", "{path}", "--max-pairs", "many"), "--max-pairs"),
+    (("chi", "{path}", "--max-pairs", "-5"), "--max-pairs"),
     (("chi", "{path}", "--frobnicate"), "--frobnicate"),
     (("st-algebra", "{path}", "--eta", "-x1^2-x2^2-x3^2"), "--eta"),
     (("betti", "{path}", "-p"), "-p"),
     ((), "command")],
-    ids=["bad-max-pairs", "unknown-flag", "eta-starting-with-minus",
-         "missing-value", "no-command"])
+    ids=["bad-max-pairs", "negative-max-pairs", "unknown-flag",
+         "eta-starting-with-minus", "missing-value", "no-command"])
 def test_argument_errors_are_input_errors(capsys, ex1_path, argv, flag):
     code, out, err = run(capsys, *(a.format(path=ex1_path) for a in argv))
     assert code == 2 and out == ""
@@ -227,7 +228,8 @@ def test_exit_code_genericity_budget(capsys, ex1_path):
 @pytest.mark.parametrize("command, budget, code", [
     (("betti", "-p", "2"), 59, 3), (("betti", "-p", "2"), 60, 0),
     (("tame",), 135, 3), (("tame",), 136, 0),
-    (("st-algebra",), 97, 3), (("st-algebra",), 98, 0)])
+    (("st-algebra",), 97, 3), (("st-algebra",), 98, 0),
+    (("betti", "-p", "2"), 0, 3)])      # 0 is a budget, not a refused value
 def test_max_pairs_bounds_the_whole_request(capsys, tmp_path, command,
                                             budget, code):
     name = "ex2_A" if command[0] == "st-algebra" else "ex2_B"

@@ -9,7 +9,7 @@ from stlog import linalg
 from stlog.arrangement import Arrangement, Hyperplane, Multiplicity, parse
 from stlog.fixtures import load
 from stlog.lattice import (characteristic_polynomial, intersection_lattice,
-                           lattice_report, moebius, poincare_polynomial)
+                           lattice_report, moebius)
 from stlog.ratpoly import LaurentPolynomial
 
 
@@ -45,25 +45,6 @@ def test_boolean_characteristic_polynomial():
     chi = characteristic_polynomial(arr)
     # (t-1)^3
     assert chi == LaurentPolynomial({3: 1, 2: -3, 1: 3, 0: -1})
-
-
-def test_poincare_relates_to_characteristic():
-    # pi(A;t) = (-t)^l chi(A;-1/t), checked by coefficient transport
-    arr, _ = load("ex1")
-    chi = characteristic_polynomial(arr)
-    pi = poincare_polynomial(arr)
-    ell = arr.ell
-    transported = LaurentPolynomial(
-        {ell - e: c * (-1) ** (ell - e) for e, c in chi.terms.items()})
-    assert pi == transported
-
-
-def test_ex1_poincare_factors():
-    arr, _ = load("ex1")
-    pi = poincare_polynomial(arr)
-    expected = (LaurentPolynomial({0: 1, 1: 1})
-                * LaurentPolynomial({0: 1, 1: 3, 2: 3}))
-    assert pi == expected
 
 
 def test_deletion_restriction_recursion():

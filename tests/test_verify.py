@@ -1,5 +1,9 @@
-"""Verification harness: individual checks and suite plumbing."""
+"""Verification harness: individual checks and suite plumbing, and the
+product rule, which only the tests check."""
 
+import pytest
+
+import crosschecks
 from stlog import verify
 from stlog.arrangement import Multiplicity, parse
 from stlog.fixtures import load
@@ -12,9 +16,21 @@ def test_chi_specialization_fixtures():
         assert report.verdict == "pass", name
 
 
-def test_chi_specialization_not_applicable_when_inessential():
-    arr, _ = parse("ell 3\nH 1 0 0\nH 0 1 0\n")
-    assert verify.check_chi_specialization(arr).verdict == "not-applicable"
+@pytest.mark.parametrize("text", ["ell 3\nH 1 0 0\nH 0 1 0\n", "ell 2\n"],
+                         ids=["two-planes-in-3-space", "empty"])
+def test_checks_not_applicable_when_inessential(tmp_path, text):
+    # each check says so itself: none computes ST, which needs an
+    # essential arrangement, before it looks; so a file suite passes
+    arr, mult = parse(text)
+    reports = [verify.check_chi_specialization(arr),
+               verify.check_second_coefficient(arr, mult),
+               verify.check_low_degree_coefficients(arr, mult, 1)]
+    assert [(r.verdict, r.witness) for r in reports] == [
+        ("not-applicable", {"reason": "arrangement not essential"})] * 3
+    (tmp_path / "a.arr").write_text(text)
+    suite = verify.run_suite("file", paths=[str(tmp_path / "a.arr")])
+    assert suite["passed"] and {c["verdict"] for c in suite["checks"]} \
+        == {"not-applicable"}
 
 
 def test_monic_degree_tame_and_beyond():
@@ -91,9 +107,8 @@ def test_st_algebra_equality_at_order_3():
 def test_product_rule():
     b1, m1 = load("bool1")
     b2, m2 = load("bool2")
-    assert verify.check_product_rule(b1, m1, b2, m2).verdict == "pass"
-    ex1, em = load("ex1")
-    assert verify.check_product_rule(ex1, em, b1, m1).verdict == "pass"
+    crosschecks.check_product_rule(b1, m1, b2, m2)
+    crosschecks.check_product_rule(*load("ex1"), b1, m1)
 
 
 def test_random_corpus_is_deterministic():
