@@ -380,11 +380,6 @@ class Polynomial(_Sparse):
                     heappush(heap, k)
         return Polynomial(self.nvars, quo), Polynomial(self.nvars, out)
 
-    def is_divisible_by(self, divisor: "Polynomial") -> bool:
-        self._check(divisor)
-        divisor = IntegerDivisor(divisor)
-        return divisor.divides(divisor.keys.keyed_terms(integer_terms(self.terms)))
-
     # -- rendering
     def sorted_terms(self):
         """Terms in descending graded-lex order (canonical for output)."""

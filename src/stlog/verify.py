@@ -30,10 +30,6 @@ class CheckReport:
     computed: object = None
     witness: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict != "fail"
-
     def to_json(self):
         return {"check": self.check, "subject": self.subject,
                 "verdict": self.verdict, "claimed": self.claimed,

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from stlog import session
+from stlog import groebner, session
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -16,6 +16,23 @@ def _session_per_test_file():
     within the file and never across files."""
     with session.request():
         yield
+
+
+@pytest.fixture
+def dropped_row(monkeypatch):
+    """Drops the first level-0 Groebner row; returns the levels built."""
+    original = groebner._minimal_level
+    levels = []
+
+    def dropping(gens, ambient):
+        kept, F, syz, eng = original(gens, ambient)
+        if not levels:
+            del eng.rows[0]
+        levels.append(F)
+        return kept, F, syz, eng
+
+    monkeypatch.setattr(groebner, "_minimal_level", dropping)
+    return levels
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

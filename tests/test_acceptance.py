@@ -237,7 +237,7 @@ def test_criterion_9_structural_property_suites():
     b1, m1 = load("bool1")
     b2, m2 = load("bool2")
     crosschecks.check_product_rule(b1, m1, b2, m2)
-    crosschecks.check_product_rule(arr, mult, b1, m1)
+    crosschecks.check_product_rule(*load("ex1"), b1, m1)
     # Groebner vs linear algebra membership in degrees <= 6
     ok = ok and _membership_oracle_agreement()
     report(9, ok, "divisibility, d o d = 0, membership audits, ST(-1)=0, "

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crosschecks
-from stlog import groebner, logmod, session
+from stlog import logmod, session
 from stlog.arrangement import Arrangement, Hyperplane, Multiplicity, parse
 from stlog.exceptions import CertificateError, StructuralError
 from stlog.fixtures import load
@@ -332,20 +332,9 @@ def test_audit_passes_a_fraction_built_multiple_of_a_generator():
             assert copy.packed() == (ivec, k / Fraction(3, 2))
 
 
-def test_dropped_basis_row_fails_the_hilbert_certificate_of_dp(monkeypatch):
+def test_dropped_basis_row_fails_the_hilbert_certificate_of_dp(dropped_row):
     # the level-0 engine's first row has a minimal lead; without it the lead
     # module of D^2 is smaller than the module the resolution resolves
-    original = groebner._minimal_level
-    levels = []
-
-    def dropping(gens, ambient):
-        kept, F, syz, eng = original(gens, ambient)
-        if not levels:
-            del eng.rows[0]
-        levels.append(F)
-        return kept, F, syz, eng
-
-    monkeypatch.setattr(groebner, "_minimal_level", dropping)
     arr, mult = load("ex1")
     with session.request(), pytest.raises(CertificateError) as exc:
         logmod.derivation_module(arr, mult, 2)

@@ -1,8 +1,8 @@
-"""One runtime surface: every public module-level function and class in
-`src/stlog` is referenced from the program outside its own definition
-(as a Name or an Attribute; a mention in a string does not count), is a
-span the benchmark traces, or is a reference that tests compare the
-program against.  A feature that only its own tests call fails here."""
+"""One runtime surface: every public function, class and method in
+`src/stlog` is reached from the program (a Name or an Attribute outside
+its own definition; a string does not count), is a span the benchmark
+traces, or is a reference the tests compare the program against or read
+results through.  A feature that only its own tests call fails here."""
 
 import ast
 from pathlib import Path
@@ -15,6 +15,11 @@ TEST_REFERENCES = {
     "normal_form": "membership in a submodule, by a Groebner basis",
     "exact_divide": "long division, against divide_one_minus_x",
     "in_row_span": "membership by linear algebra, against the engine",
+    "FreeModule.element": "builds module elements from component lists",
+    "BettiTable.beta": "reads one graded Betti number",
+    "RationalSeries.taylor_coefficients": "expands a series to compare it",
+    "LaurentPolynomial.evaluate": "evaluates chi and ST at a point",
+    "_ArgumentParser.error": "argparse calls it on a malformed command line",
 }
 
 
@@ -32,11 +37,19 @@ def test_every_public_name_is_reached():
               for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")]
-    assert set(TEST_REFERENCES) <= {node.name for _, node in public}
+    methods = {f"{cls.name}.{node.name}" for tree in trees.values()
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")}
+    assert set(TEST_REFERENCES) <= {n.name for _, n in public} | methods
     unreached = sorted(
         f"{module}.{node.name}" for module, node in public
         if not any(name == node.name and where != id(node)
                    for name, where in uses)
         and (module, node.name) not in spans
         and node.name not in TEST_REFERENCES)
+    attributes = {node.attr for tree in trees.values()
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unreached += sorted(name for name in methods - set(TEST_REFERENCES)
+                        if name.split(".")[1] not in attributes)
     assert unreached == []
