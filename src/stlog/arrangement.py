@@ -295,12 +295,3 @@ def is_irreducible(arr: Arrangement, mult: Multiplicity | None = None) -> bool:
     if ess.n == 0:
         return False
     return len(decompose_product(ess, essm)) == 1
-
-
-def defining_polynomial(arr: Arrangement, mult: Multiplicity | None = None) -> Polynomial:
-    """Q(A,m), the product of the forms raised to their multiplicities."""
-    values = mult.values if mult else (1,) * arr.n
-    q = Polynomial.one(arr.ell)
-    for h, m in zip(arr.hyperplanes, values):
-        q = q * h.form() ** m
-    return q

@@ -363,6 +363,11 @@ def main(argv=None) -> int:
             if args.command == "verify":
                 return _cmd_verify(args)
             arr, mult = arrmod.load(args.input)
+            if args.command in ("chi", "st", "st-bipoly") \
+                    and not arrmod.is_essential(arr):
+                raise ParseError(
+                    f"{args.command} needs an essential arrangement; `stlog "
+                    f"essentialize {args.input}` prints an equivalent one")
             return _DISPATCH[args.command](args, arr, mult)
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)

@@ -19,14 +19,6 @@ class ParseError(StlogError):
         self.line = line
 
 
-class NonDivisibleError(StlogError):
-    """Exact division failed; carries the remainder."""
-
-    def __init__(self, message, remainder=None):
-        super().__init__(message)
-        self.remainder = remainder
-
-
 class ResourceBudgetError(StlogError):
     """A configured computation budget (S-pairs, degree) was exceeded."""
 

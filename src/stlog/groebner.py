@@ -622,19 +622,16 @@ def _minimal_level(gens, module: FreeModule):
     """One module of a minimal resolution, built by one tracked engine.
 
     The nonzero candidates are taken by increasing (degree, canonical
-    key), and each is kept when it is not in the submodule generated by
-    those kept before it (graded Nakayama).  Before a candidate of degree
-    d is fed, the engine is completed only through degree d: S-pairs of
-    higher degree cannot change the basis in degrees <= d, so the
-    truncated basis decides membership exactly, in the one reduction that
-    also inserts a kept candidate.  The last, full completion gives the
-    syzygies of the kept generators.  A candidate is read as g = ivec / k
-    (`ModuleElement.packed`), never decoded.  Its terms are ordered by
-    (component, exponents with x1 first), each as one integer read off its
-    key (`_term_order`); two candidates compare their coefficients
-    ivec_t / k pairwise by cross-multiplication, so no integer exceeds two
-    coefficients times two scales.  A candidate that reduces to zero is
-    dropped before its representation is touched (`GroebnerEngine._insert`).
+    key) (`_canonical_order`), and each is kept when it is not in the
+    submodule generated by those kept before it (graded Nakayama).
+    Before a candidate of degree d is fed, the engine is completed only
+    through degree d: S-pairs of higher degree cannot change the basis in
+    degrees <= d, so the truncated basis decides membership exactly, in
+    the one reduction that also inserts a kept candidate.  The last, full
+    completion gives the syzygies of the kept generators.  A candidate is
+    read as g = ivec / k (`ModuleElement.packed`), never decoded, and one
+    that reduces to zero is dropped before its representation is touched
+    (`GroebnerEngine._insert`).
 
     Returns (kept, F, syzygies, engine): F is the free module on the kept
     generators (shifts = their degrees), the syzygies are distinct
@@ -644,34 +641,48 @@ def _minimal_level(gens, module: FreeModule):
     eng = GroebnerEngine(module, track=True)
     if any(g.module != module for g in gens):
         raise StructuralError("generators live in different free modules")
-    order = _term_order(eng.keys)
-    cands = [(g.degree(), sorted((order(t), c) for t, c in ivec.items()),
-              ivec, k, g)
-             for g in gens if not g.is_zero() for ivec, k in [g.packed()]]
-
-    def canonical(a, b):
-        """By degree, then term by term in term order, each coefficient
-        ivec_t / k compared exactly by cross-multiplication."""
-        if a[0] != b[0]:
-            return a[0] - b[0]
-        ka, kb = a[3], b[3]
-        for (sa, x), (sb, y) in zip(a[1], b[1]):
-            if sa != sb:
-                return -1 if sa < sb else 1
-            x *= ka.denominator * kb.numerator
-            y *= kb.denominator * ka.numerator
-            if x != y:
-                return -1 if x < y else 1
-        return len(a[1]) - len(b[1])
-
     kept = []
-    for d, _, ivec, k, g in sorted(cands, key=cmp_to_key(canonical)):
+    for d, g in _canonical_order(gens, eng.keys):
+        ivec, k = g.packed()
         eng.complete(max_degree=d)
         if eng.add_vector(dict(ivec), d, k, minimal=True) is not None:
             kept.append(g)
     eng.complete()
     F = FreeModule(module.nvars, eng.gen_degrees)
     return kept, F, eng.syzygy_elements(F), eng
+
+
+def _canonical_order(gens, keys):
+    """The nonzero candidates g = ivec / k as (degree, g), by increasing
+    degree, then term by term: terms by (component, exponents with x1
+    first), each as one integer read off its key (`_term_order`), and two
+    coefficients ivec_t / k compared exactly by cross-multiplication, so
+    no integer exceeds two coefficients times two scales.  Only a degree
+    with two or more candidates builds their term lists."""
+    order = _term_order(keys)
+
+    def canonical(a, b):
+        (ta, ka, _), (tb, kb, _) = a, b
+        for (sa, x), (sb, y) in zip(ta, tb):
+            if sa != sb:
+                return -1 if sa < sb else 1
+            x *= ka.denominator * kb.numerator
+            y *= kb.denominator * ka.numerator
+            if x != y:
+                return -1 if x < y else 1
+        return len(ta) - len(tb)
+
+    groups = {}
+    for g in gens:
+        if not g.is_zero():
+            groups.setdefault(g.degree(), []).append(g)
+    for d in sorted(groups):
+        group = groups[d]
+        if len(group) > 1:
+            terms = [(sorted((order(t), c) for t, c in ivec.items()), k, g)
+                     for g in group for ivec, k in [g.packed()]]
+            group = [g for *_, g in sorted(terms, key=cmp_to_key(canonical))]
+        yield from ((d, g) for g in group)
 
 
 def _term_order(keys):

@@ -26,17 +26,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Optional
 
-from .arrangement import (Arrangement, Multiplicity, defining_polynomial,
-                          is_essential)
+from .arrangement import Arrangement, Multiplicity, is_essential
 from . import session
 from .exceptions import CertificateError, StructuralError
 from .groebner import (BettiTable, FreeModule, ModuleElement, kernel_of_map,
                        minimal_free_resolution)
-from .ratpoly import (MAX_EXPONENT, IntegerDivisor, PackedKeys, Polynomial,
-                      RationalSeries, degree_overflow)
+from .ratpoly import (MAX_EXPONENT, LinearDivisor, PackedKeys, RationalSeries,
+                      degree_overflow)
 
 
 @dataclass(frozen=True)
@@ -142,23 +141,31 @@ def cache_key(arr: Arrangement, mult: Multiplicity, p: int):
 
 def _principal(arr: Arrangement, mult: Multiplicity, p: int):
     """The one generator and Betti table of D^0 = S (p = 0) or of
-    D^l = S * Q(A,m) (p = l), as a resolution would give them.
-    Q(A,m) = prod alpha_H^{m(H)} is multiplied out in integers in packed
+    D^l = S * Q(A,m) (p = l), as a resolution would give them: 1, or
+    Q(A,m) in packed keys (`_defining_vector`), which decodes monic.  The
+    membership audit checks D^l's generator."""
+    ell = arr.ell
+    keys = PackedKeys(ell)
+    q = _defining_vector(arr, mult, keys) if p else {0: 1}
+    gens = (ModuleElement(FreeModule(ell, [0]), None, (q, q[min(q)], keys)),)
+    if p:
+        _audit_membership(arr, mult, p, gens)
+    return gens, BettiTable({(0, mult.total if p else 0): 1})
+
+
+def _defining_vector(arr: Arrangement, mult: Multiplicity, keys: PackedKeys):
+    """Q(A,m) = prod alpha_H^{m(H)}, multiplied out in integers in packed
     keys, where a product of terms is the sum of their keys.  Each
     alpha_H is primitive with its lead, the first coefficient, positive
     (`Hyperplane`), so Q is primitive (Gauss's lemma) with positive lead:
-    the vector an engine hands out (`ModuleElement.packed`), which
-    decodes monic.  The membership audit checks D^l's generator."""
-    ell = arr.ell
-    n = mult.total if p else 0
-    if n > MAX_EXPONENT:
-        raise degree_overflow(n)
-    keys = PackedKeys(ell)
-    zero = (0,) * ell
+    the vector an engine hands out (`ModuleElement.packed`)."""
+    if mult.total > MAX_EXPONENT:
+        raise degree_overflow(mult.total)
+    zero = (0,) * arr.ell
     units = [keys.key(1, 0, zero[:i] + (1,) + zero[i + 1:])
-             for i in range(ell)]
-    q = {keys.key(0, 0, zero): 1}
-    for h, m in zip(arr.hyperplanes, mult.values if p else ()):
+             for i in range(arr.ell)]
+    q = {0: 1}
+    for h, m in zip(arr.hyperplanes, mult.values):
         form = [(u, c) for u, c in zip(units, h.coeffs) if c]
         for _ in range(m):
             prod = {}
@@ -166,10 +173,7 @@ def _principal(arr: Arrangement, mult: Multiplicity, p: int):
                 for u, a in form:
                     prod[t + u] = prod.get(t + u, 0) + c * a
             q = {t: c for t, c in prod.items() if c}
-    gens = (ModuleElement(FreeModule(ell, [0]), None, (q, q[min(q)], keys)),)
-    if p:
-        _audit_membership(arr, mult, p, gens)
-    return gens, BettiTable({(0, n): 1})
+    return q
 
 
 def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
@@ -208,7 +212,7 @@ def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
     betti = res.betti()
     reg, pd = betti.reg, betti.pd
 
-    _audit_membership(arr, mult, p, gens, powers)
+    _audit_membership(arr, mult, p, gens)
     if p <= ell - 1 and pd > ell - 2:
         raise CertificateError(
             f"pd D^{p} = {pd} exceeds reflexivity bound {ell - 2}")
@@ -220,14 +224,12 @@ def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
     return gens, betti
 
 
-def _audit_membership(arr: Arrangement, mult: Multiplicity, p: int, gens,
-                      powers=None):
+def _audit_membership(arr: Arrangement, mult: Multiplicity, p: int, gens):
     """Direct divisibility check of the defining condition for each generator.
 
     For every hyperplane H and (p-1)-subset J, s = theta(alpha_H, x_J),
     the combination of the generator theta's components given by the
-    coefficients a_i of alpha_H, must be divisible by alpha_H^{m(H)}
-    (powers, one per hyperplane, built here unless the caller has them).
+    coefficients a_i of alpha_H, must be divisible by alpha_H^{m(H)}.
     Only the J without the pivot k, the first i with a_i != 0, are
     divided: theta is alternating, so theta(alpha_H, alpha_H, ...) = 0,
     and substituting x_k = (alpha_H - sum_{i != k} a_i x_i) / a_k makes
@@ -238,21 +240,19 @@ def _audit_membership(arr: Arrangement, mult: Multiplicity, p: int, gens,
     The check uses only `ratpoly`, never the Groebner engine it audits:
     it reads each generator's primitive integer vector
     (`ModuleElement.packed`), whose keys are `PackedKeys` with the
-    component in their own field (D^p's source has no shifts), makes each
-    alpha_H^{m(H)} one primitive `IntegerDivisor`, and divides s as an
-    integer dict.  Membership in D^p does not change under nonzero
-    scaling, and the quotient by a primitive divisor is integral (Gauss's
-    lemma), so the heap division may stop at the first lead term that the
-    divisor's lead does not divide or that leaves an integer remainder:
-    then s has a nonzero remainder, and the generator is not in D^p.
+    component in their own field (D^p's source has no shifts), and
+    divides s as an integer dict by alpha_H, m(H) times, in x_k-exponent
+    buckets (`LinearDivisor`).  Membership in D^p does not change under
+    nonzero scaling, and the quotient by a primitive alpha_H is integral
+    (Gauss's lemma), so the division may stop at the first coefficient
+    that a_k does not divide: then s has a nonzero remainder, and the
+    generator is not in D^p.
     """
     ell = arr.ell
     keys = PackedKeys(ell)
     index = {I: ci for ci, I in enumerate(_subset_index(ell, p))}
-    if powers is None:
-        powers = [h.form() ** m for h, m in zip(arr.hyperplanes, mult.values)]
     checks = []         # (H, divisor, [[(component, signed a_i)] per J])
-    for h, power in zip(arr.hyperplanes, powers):
+    for h, m in zip(arr.hyperplanes, mult.values):
         a = h.coeffs
         k = next(i for i, c in enumerate(a) if c)
         combos = [[(index[tuple(sorted(J + (i,)))],
@@ -260,12 +260,9 @@ def _audit_membership(arr: Arrangement, mult: Multiplicity, p: int, gens,
                    for i in range(ell) if a[i] and i not in J]
                   for J in itertools.combinations(
                       [i for i in range(ell) if i != k], p - 1)]
-        checks.append((h, IntegerDivisor(power), combos))
+        checks.append((h, LinearDivisor(keys, a, m), combos))
     for g in gens:
-        comps = [{} for _ in index]
-        for t, c in g.packed()[0].items():
-            ci = keys.comp(t)
-            comps[ci][t - (ci << keys.comp_shift)] = c
+        comps = _components(g, keys, len(index))
         for h, divisor, combos in checks:
             for combo in combos:
                 s = {}
@@ -276,6 +273,16 @@ def _audit_membership(arr: Arrangement, mult: Multiplicity, p: int, gens,
                     raise CertificateError(
                         f"membership audit failed for D^{p} generator at "
                         f"hyperplane {list(h.coeffs)}")
+
+
+def _components(g: ModuleElement, keys: PackedKeys, rank: int):
+    """g's primitive integer vector (`ModuleElement.packed`) split into one
+    integer polynomial {key: int} per component, in component 0 of keys."""
+    comps = [{} for _ in range(rank)]
+    for t, c in g.packed()[0].items():
+        j = keys.comp(t)
+        comps[j][t - (j << keys.comp_shift)] = c
+    return comps
 
 
 def omega_module(arr: Arrangement, mult: Multiplicity, p: int) -> LogModule:
@@ -293,28 +300,19 @@ def omega_module(arr: Arrangement, mult: Multiplicity, p: int) -> LogModule:
     return mod
 
 
-def poly_det(rows) -> Polynomial:
-    """Determinant of a square matrix of polynomials (Laplace expansion)."""
-    n = len(rows)
-    if n == 0:
-        raise StructuralError("empty matrix")
-    nvars = rows[0][0].nvars
-    if n == 1:
-        return rows[0][0]
-    result = Polynomial.zero(nvars)
-    for i in range(n):
-        entry = rows[i][0]
-        if entry.is_zero():
-            continue
-        minor = [[rows[r][c] for c in range(1, n)] for r in range(n) if r != i]
-        term = entry * poly_det(minor)
-        result = result + (term if i % 2 == 0 else -term)
-    return result
-
-
 def is_free(arr: Arrangement,
             mult: Multiplicity) -> Optional[SaitoCertificate]:
-    """Freeness via pd D^1 = 0, cross-validated by Saito's determinant.
+    """Freeness via pd D^1 = 0, cross-validated by Saito's criterion:
+    l homogeneous elements of D^1 form a basis iff det(theta_i(x_j)) is
+    a nonzero scalar multiple of Q(A,m) (K. Saito, Theory of logarithmic
+    differential forms and logarithmic vector fields, 1980).
+
+    The determinant is taken in integers over the generators' primitive
+    vectors ivec_i = k_i * theta_i (`ModuleElement.packed`), by Laplace
+    expansion memoized on column subsets (`_determinant`), and compared
+    with Q(A,m) in the same packed keys (`_defining_vector`) term by
+    term: the same support and proportional coefficients, det = c * Q, so
+    no division is left.  The scalar of theta is c / prod k_i.
 
     Returns the exponents (with the determinant scalar) when free, None
     otherwise.  A failing certificate on a pd-0 module is an internal
@@ -332,14 +330,41 @@ def is_free(arr: Arrangement,
     if sum(exps) != mult.total:
         raise CertificateError(
             f"exponent sum {sum(exps)} differs from |m| = {mult.total}")
-    matrix = [[g.component(j) for j in range(ell)] for g in gens]
-    d = poly_det(matrix)
-    q = defining_polynomial(arr, mult)
-    quo, rem = d.divide(q)
-    if not rem.is_zero() or not quo.is_constant() or quo.is_zero():
+    keys = PackedKeys(ell)
+    q = _defining_vector(arr, mult, keys)
+    det = _determinant([_components(g, keys, ell) for g in gens])
+    lead = min(q)
+    if det.keys() != q.keys() or any(det[t] * q[lead] != c * det[lead]
+                                     for t, c in q.items()):
         raise CertificateError("Saito determinant is not a scalar multiple of Q(A,m)")
-    scalar = quo.coefficient((0,) * ell)
-    return SaitoCertificate(exponents=exps, scalar=scalar)
+    scale = prod(g.packed()[1] for g in gens)
+    return SaitoCertificate(exponents=exps,
+                            scalar=Fraction(det[lead], q[lead]) / scale)
+
+
+def _determinant(rows):
+    """det of a square matrix of integer polynomials {key: int} in packed
+    keys, where a product of terms is the sum of their keys.  Laplace
+    expansion along the rows, from the last up, memoized on column
+    subsets: each minor of the last r rows, keyed by the bitmask of its
+    columns, is computed once."""
+    minors = {0: {0: 1}}
+    for row in reversed(rows):
+        expanded = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                if cols >> j & 1 or not entry:
+                    continue
+                # the sign of j's position among the columns cols | 1 << j
+                sign = -1 if (cols & ((1 << j) - 1)).bit_count() % 2 else 1
+                acc = expanded.setdefault(cols | 1 << j, {})
+                for t, c in entry.items():
+                    c *= sign
+                    for u, d in minor.items():
+                        acc[t + u] = acc.get(t + u, 0) + c * d
+        minors = {cols: {t: c for t, c in acc.items() if c}
+                  for cols, acc in expanded.items()}
+    return minors.get((1 << len(rows)) - 1, {})
 
 
 def is_tame(arr: Arrangement, mult: Multiplicity):

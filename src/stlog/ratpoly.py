@@ -11,38 +11,32 @@ of 1 is, and how to build its own values.
 Monomials are plain exponent tuples; the helpers below treat them as an
 abelian monoid so the Groebner engine can share them.
 
-Division by one polynomial (Monagan-Pearce, Sparse polynomial division
-using a heap, JSC 2011) keys each remainder term once, when it enters,
-by `_key`, and takes the grevlex lead from a heap.  `Polynomial.divide`
-is the one general division loop.  `exact_divide` runs it in one
-variable after a shift to valuation 0: no command calls it, and it is
-kept as the tests' reference for long division.  Division by (1-x)^r is
-synthetic, one prefix sum per factor (`divide_one_minus_x`).
-
-Divisibility is decided in integers: `IntegerDivisor` makes the divisor
-primitive over Z, so by Gauss's lemma the quotient of an integral
-dividend is integral, and the first lead term that the divisor's lead
-does not divide, or that leaves a nonzero integer remainder, proves
-non-divisibility at once.  Its terms are packed exponent vectors
-(`PackedKeys`): one int per term, so a shift is one addition and the
-lead test one subtraction and a mask.  The Groebner engine imports the
-same packing, and the membership audit reads each generator as the
-engine's primitive integer vector in it (scaling leaves membership
-unchanged); this module imports nothing from `groebner`, so the audit's
-arithmetic stays independent of the engine it audits.
+Division by (1-x)^r is synthetic, one prefix sum per factor
+(`divide_one_minus_x`).  Divisibility by alpha^m, alpha a linear form,
+is decided in integers and needs no heap (`LinearDivisor`): alpha is
+made primitive, so by Gauss's lemma an integral dividend has an
+integral quotient, and the division is synthetic in alpha's lead
+variable, so the first coefficient that its lead coefficient does not
+divide proves non-divisibility at once.  No command divides by any
+other polynomial.  Terms are packed exponent vectors (`PackedKeys`): one
+int per term, so a shift is one addition and an exponent one shift and
+a mask.  The Groebner engine imports the same packing, and the
+membership audit reads each generator as the engine's primitive integer
+vector in it (scaling leaves membership unchanged); this module imports
+nothing from `groebner`, so the audit's arithmetic stays independent of
+the engine it audits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from math import gcd, lcm
-from operator import add, le, sub
+from math import gcd
+from operator import add
 from struct import Struct
 from typing import Iterable, Mapping
 
-from .exceptions import NonDivisibleError, ResourceBudgetError, StructuralError
+from .exceptions import ResourceBudgetError, StructuralError
 
 Mono = tuple  # exponent tuple, one entry per variable
 
@@ -60,13 +54,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
 
 def mono_deg(a: Mono) -> int:
     return sum(a)
-
-
-def _key(a: Mono):
-    """Heap key: the smallest key is the largest monomial in graded
-    reverse lex (higher degree first, then the smaller last exponent).
-    Keys multiply componentwise, like the monomials they encode."""
-    return (-sum(a), a[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +114,6 @@ class PackedKeys:
 
     def comp(self, key: int) -> int:
         return (key >> self.comp_shift) & ((1 << COMP_BITS) - 1)
-
-    def keyed_terms(self, terms) -> dict:
-        """{key: c} for the nonzero terms {monomial: c} of a polynomial,
-        in component 0.  A degree above MAX_EXPONENT is refused, so every
-        term that a division derives from these, of no higher degree,
-        keeps its exponents within their fields."""
-        out = {}
-        for m, c in terms.items():
-            d = sum(m)
-            if d > MAX_EXPONENT:
-                raise degree_overflow(d)
-            if c:
-                out[self.key(d, 0, m)] = c
-        return out
 
     def term(self, key: int):
         """(degree, comp, m) of a key."""
@@ -310,12 +283,6 @@ class Polynomial(_Sparse):
         degs = {mono_deg(m) for m in self.terms}
         return len(degs) <= 1
 
-    def is_constant(self) -> bool:
-        return all(mono_deg(m) == 0 for m in self.terms)
-
-    def coefficient(self, mono: Mono) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
-
     # -- arithmetic
     _mul_exp = staticmethod(mono_mul)
 
@@ -343,43 +310,6 @@ class Polynomial(_Sparse):
                     terms[me] = s
         return Polynomial(self.nvars, terms)
 
-    def divide(self, divisor: "Polynomial"):
-        """Multivariate division by a single polynomial (grevlex lead).
-
-        Returns (quotient, remainder) with self = q*divisor + r and no
-        term of r divisible by the lead term of the divisor.
-        """
-        self._check(divisor)
-        if divisor.is_zero():
-            raise StructuralError("division by zero polynomial")
-        keyed = sorted((_key(m), c) for m, c in divisor.terms.items())
-        ((lnd, lr), lc), tail = keyed[0], keyed[1:]
-        rem = {_key(m): c for m, c in self.terms.items()}
-        heap = list(rem)
-        heapify(heap)
-        quo = {}
-        out = {}
-        while heap:
-            key = heappop(heap)
-            c = rem.pop(key)
-            if not c:
-                continue
-            nd, r = key
-            if not all(map(le, lr, r)):
-                out[r[::-1]] = c
-                continue
-            q = c / lc
-            sd, sr = nd - lnd, tuple(map(sub, r, lr))
-            quo[sr[::-1]] = q
-            for (tnd, tr), tc in tail:
-                k = (tnd + sd, tuple(map(add, tr, sr)))
-                if k in rem:
-                    rem[k] -= q * tc
-                else:
-                    rem[k] = -q * tc
-                    heappush(heap, k)
-        return Polynomial(self.nvars, quo), Polynomial(self.nvars, out)
-
     # -- rendering
     def sorted_terms(self):
         """Terms in descending graded-lex order (canonical for output)."""
@@ -396,62 +326,82 @@ class Polynomial(_Sparse):
         return [{"c": str(c), "e": list(m)} for m, c in self.sorted_terms()]
 
 
-def integer_terms(terms):
-    """Fraction values times the lcm of their denominators, as integers
-    under the same keys (one joint scale for all of them)."""
-    scale = lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
+class LinearDivisor:
+    """alpha^m for an integer linear form alpha, as a divisibility test of
+    integer polynomials {key: int} in component 0 of `keys`.
 
-
-class IntegerDivisor:
-    """A nonzero polynomial made primitive over Z, in packed keys, for
-    exact divisibility tests of integer polynomials.
-
-    Since the divisor is primitive, Gauss's lemma makes the quotient of
-    an integral multiple integral, so `divides` returns False at the
-    first lead term whose monomial or coefficient the divisor's lead
-    does not divide.  Dividends come in the divisor's keys
-    (`PackedKeys.keyed_terms`, shared by all divisors in as many
-    variables), which refuse a degree whose derived terms could spill a
-    field.
+    alpha is made primitive, so by Gauss's lemma an integral multiple of
+    it has an integral quotient.  With x_k its lead (k the first index
+    with a_k != 0), alpha = a_k x_k + beta and beta has no x_k, so
+    division by alpha is synthetic division in x_k: from the top
+    x_k-exponent e down, the terms of exponent e, over a_k, are the
+    quotient's terms of exponent e - 1, and their product with beta is
+    taken off the terms of exponent e - 1 before those are read; what is
+    left at exponent 0 is the remainder.  `divides` makes m such passes,
+    each over the quotient of the last, so it needs no heap and never
+    expands alpha^m, and it stops at the first coefficient that a_k does
+    not divide.  For a coordinate hyperplane (beta = 0) it is the test
+    that every term has x_k-exponent at least m.  A quotient term has the
+    degree of the term it came from, so a dividend of degree above
+    MAX_EXPONENT is refused: a derived exponent could spill into a guard.
     """
 
-    __slots__ = ("keys", "lead", "lead_coeff", "tail")
+    __slots__ = ("deg_shift", "m", "lead", "shift", "unit", "tail")
 
-    def __init__(self, p: Polynomial):
-        if p.is_zero():
+    def __init__(self, keys: PackedKeys, coeffs, m: int):
+        if m > MAX_EXPONENT:
+            raise degree_overflow(m)
+        content = gcd(*coeffs)
+        if not content:
             raise StructuralError("division by zero polynomial")
-        self.keys = PackedKeys(p.nvars)
-        ints = integer_terms(p.terms)
-        content = gcd(*ints.values())
-        (self.lead, self.lead_coeff), *self.tail = sorted(
-            self.keys.keyed_terms({m: c // content for m, c in ints.items()}).items())
+        a = [c // content for c in coeffs]
+        k = next(i for i, c in enumerate(a) if c)
+        zero = (0,) * len(a)
+        units = [keys.key(1, 0, zero[:i] + (1,) + zero[i + 1:])
+                 for i in range(len(a))]
+        self.deg_shift, self.m, self.lead = keys.deg_shift, m, a[k]
+        self.shift, self.unit = EXP_BITS * k, units[k]
+        # x_i / x_k as a key delta, with a_i, for each term of beta
+        self.tail = [(units[i] - units[k], c)
+                     for i, c in enumerate(a) if i > k and c]
 
-    def divides(self, rem: dict) -> bool:
-        """True iff the integer polynomial rem {key: int} is a multiple of
-        this divisor (the zero polynomial is); rem is consumed."""
-        heap = list(rem)
-        heapify(heap)
-        lead, lc, tail = self.lead, self.lead_coeff, self.tail
-        guard = self.keys.guard
-        while heap:
-            t = heappop(heap)
-            c = rem.pop(t)
-            if not c:
-                continue
-            if ((t | guard) - lead) & guard != guard:
+    def divides(self, terms: dict) -> bool:
+        """True iff the integer polynomial terms {key: int} is a multiple
+        of alpha^m (the zero polynomial is)."""
+        degree = -(min(terms) >> self.deg_shift) if terms else 0
+        if degree > MAX_EXPONENT:
+            raise degree_overflow(degree)
+        shift, m, lead, unit, tail = (self.shift, self.m, self.lead,
+                                      self.unit, self.tail)
+        if not tail:
+            return all((t >> shift) & MAX_EXPONENT >= m
+                       for t, c in terms.items() if c)
+        buckets = {}
+        for t, c in terms.items():
+            if c:
+                buckets.setdefault((t >> shift) & MAX_EXPONENT, {})[t] = c
+        for left in range(m - 1, -1, -1):     # passes left after this one
+            quotient = {}
+            for e in range(max(buckets, default=0), 0, -1):
+                bucket = buckets.get(e)
+                if not bucket:
+                    continue
+                below = buckets.setdefault(e - 1, {})
+                quo = quotient.setdefault(e - 1, {})
+                for t, c in bucket.items():
+                    if not c:
+                        continue
+                    if lead != 1:
+                        c, r = divmod(c, lead)
+                        if r:
+                            return False
+                    if left:
+                        quo[t - unit] = c
+                    for d, a in tail:
+                        below[t + d] = below.get(t + d, 0) - c * a
+            if any(buckets.get(0, {}).values()):
                 return False
-            q, x = divmod(c, lc)
-            if x:
-                return False
-            delta = t - lead
-            for k, tc in tail:
-                k += delta
-                if k in rem:
-                    rem[k] -= q * tc
-                else:
-                    rem[k] = -q * tc
-                    heappush(heap, k)
+            buckets = quotient
         return True
 
 
@@ -515,9 +465,6 @@ class LaurentPolynomial(_Sparse):
     def degree(self):
         return max(self.terms) if self.terms else None
 
-    def valuation(self):
-        return min(self.terms) if self.terms else None
-
     def coefficient(self, e: int) -> Fraction:
         return self.terms.get(e, Fraction(0))
 
@@ -566,25 +513,6 @@ class LaurentPolynomial(_Sparse):
     def to_json(self):
         return [{"c": str(self.terms[e]), "e": e}
                 for e in sorted(self.terms, reverse=True)]
-
-
-def exact_divide(n: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomial:
-    """Exact Laurent division: q with q*d == n, else NonDivisibleError.
-
-    Both sides are shifted to valuation 0 and divided as one-variable
-    polynomials, where the grevlex lead is the top degree: this is long
-    division, and its remainder is the one the error carries."""
-    if d.is_zero():
-        raise StructuralError("division by zero")
-    if n.is_zero():
-        return LaurentPolynomial.zero()
-    nv, dv = n.valuation(), d.valuation()
-    q, r = Polynomial(1, {(e - nv,): c for e, c in n.terms.items()}).divide(
-        Polynomial(1, {(e - dv,): c for e, c in d.terms.items()}))
-    if r.terms:
-        remainder = LaurentPolynomial({e + nv: c for (e,), c in r.terms.items()})
-        raise NonDivisibleError("inexact Laurent division", remainder=remainder)
-    return LaurentPolynomial({e + nv - dv: c for (e,), c in q.terms.items()})
 
 
 def divide_one_minus_x(terms, r: int):

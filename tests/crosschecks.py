@@ -1,12 +1,66 @@
 """Cross-checks of the paper that no command runs, built on stlog's public
-API for the tests.  Each raises AssertionError when its identity fails."""
+API for the tests.  Each raises AssertionError when its identity fails.
+Also the Fraction references the tests compare the program against:
+long division by one polynomial, exact Laurent division, the Saito
+determinant and Q(A,m)."""
 
 from itertools import combinations
+from operator import le
 
 from stlog import logmod
 from stlog.arrangement import Arrangement, Hyperplane, Multiplicity
+from stlog.exceptions import StructuralError
 from stlog.groebner import groebner_basis, normal_form
 from stlog.ratpoly import LaurentPolynomial, Polynomial, divide_one_minus_x
+
+
+class NonDivisibleError(ArithmeticError):
+    """An inexact `exact_divide`; carries the remainder."""
+
+    def __init__(self, remainder):
+        super().__init__("inexact Laurent division")
+        self.remainder = remainder
+
+
+def grevlex(m):
+    """Sort key of a monomial in graded reverse lex: higher degree first,
+    then the smaller last exponent."""
+    return sum(m), tuple(-e for e in reversed(m))
+
+
+def divide(f, g):
+    """(q, r) with f = q*g + r and no term of r divisible by the grevlex
+    lead of g: long division by one polynomial, a term at a time."""
+    if g.is_zero():
+        raise StructuralError("division by zero polynomial")
+    lead = max(g.terms, key=grevlex)
+    q, r, rest = Polynomial.zero(f.nvars), {}, f
+    while not rest.is_zero():
+        m = max(rest.terms, key=grevlex)
+        c = rest.terms[m]
+        if all(map(le, lead, m)):
+            t = Polynomial(f.nvars, {tuple(a - b for a, b in zip(m, lead)):
+                                     c / g.terms[lead]})
+            q, rest = q + t, rest - t * g
+        else:
+            r[m] = c
+            rest = rest - Polynomial(f.nvars, {m: c})
+    return q, Polynomial(f.nvars, r)
+
+
+def exact_divide(n, d):
+    """Exact Laurent division: q with q*d == n, else NonDivisibleError
+    with the remainder of long division, in one variable after both sides
+    are shifted to valuation 0."""
+    if n.is_zero():
+        return LaurentPolynomial.zero()
+    nv, dv = min(n.terms), min(d.terms)
+    q, r = divide(Polynomial(1, {(e - nv,): c for e, c in n.terms.items()}),
+                  Polynomial(1, {(e - dv,): c for e, c in d.terms.items()}))
+    if r.terms:
+        raise NonDivisibleError(
+            LaurentPolynomial({e + nv: c for (e,), c in r.terms.items()}))
+    return LaurentPolynomial({e + nv - dv: c for (e,), c in q.terms.items()})
 
 
 def in_submodule(elements, gens) -> bool:
@@ -54,8 +108,38 @@ def wedge_power(arr, mult, p: int):
     lists over the p-subsets of coordinates: p x p minors of its matrix."""
     basis = logmod.derivation_module(arr, mult, 1).generators
     cols = list(combinations(range(arr.ell), p))
-    return [[logmod.poly_det([[basis[k].component(i) for i in I] for k in K])
+    return [[poly_det([[basis[k].component(i) for i in I] for k in K])
              for I in cols] for K in cols]
+
+
+def poly_det(rows) -> Polynomial:
+    """Determinant of a square matrix of polynomials (Laplace expansion)."""
+    if len(rows) == 1:
+        return rows[0][0]
+    result = Polynomial.zero(rows[0][0].nvars)
+    for i, row in enumerate(rows):
+        minor = [r[1:] for k, r in enumerate(rows) if k != i]
+        result += (row[0] * poly_det(minor)).scale((-1) ** i)
+    return result
+
+
+def defining_polynomial(arr, mult=None) -> Polynomial:
+    """Q(A,m), the product of the forms raised to their multiplicities."""
+    q = Polynomial.one(arr.ell)
+    for h, m in zip(arr.hyperplanes, mult.values if mult else (1,) * arr.n):
+        q = q * h.form() ** m
+    return q
+
+
+def saito_scalar(arr, mult):
+    """The Saito scalar of a free (A,m) in Fractions: det(theta_i(x_j)) of
+    the basis of D^1 by `poly_det`, over Q(A,m) by `Polynomial.divide`."""
+    gens = logmod.derivation_module(arr, mult, 1).generators
+    quo, rem = divide(poly_det([g.components() for g in gens]),
+                      defining_polynomial(arr, mult))
+    assert rem.is_zero() and list(quo.terms) == [(0,) * arr.ell], \
+        "the Saito determinant is not a nonzero scalar multiple of Q(A,m)"
+    return quo.terms[(0,) * arr.ell]
 
 
 def check_second_t_coefficient(st):

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosschecks import defining_polynomial
 from stlog.arrangement import (Arrangement, Hyperplane, Multiplicity,
-                               decompose_product, defining_polynomial,
-                               essentialize, is_essential, is_irreducible,
-                               parse, render)
+                               decompose_product, essentialize, is_essential,
+                               is_irreducible, parse, render)
 from stlog.exceptions import ParseError, StructuralError
 from stlog.fixtures import load
 

@@ -184,6 +184,18 @@ def test_essentialize(capsys, tmp_path):
     assert "m=2" in out
 
 
+@pytest.mark.parametrize("command", ["chi", "st", "st-bipoly"])
+@pytest.mark.parametrize("text", ["ell 3\nH 1 0 0\nH 0 1 0\n", "ell 2\n"])
+def test_non_essential_input_names_the_command_and_the_remedy(
+        capsys, tmp_path, command, text):
+    path = tmp_path / "planes.arr"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"input error: {command} needs an essential arrangement; "
+                   f"`stlog essentialize {path}` prints an equivalent one\n")
+
+
 def test_lattice_requires_simple(capsys, tmp_path):
     path = tmp_path / "a.arr"
     path.write_text("ell 2\nH 1 0 m=2\nH 0 1\n")

@@ -5,6 +5,7 @@ graded pieces: a homogeneous h of degree d lies in (f_1..f_k) iff it is
 a rational linear combination of the {monomial * f_i} of degree d.
 """
 
+import collections
 import copy
 import itertools
 import random
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stlog import groebner, linalg, stpoly
+import crosschecks
+from stlog import groebner, linalg, logmod, session, stpoly
 from stlog.exceptions import (CertificateError, ResourceBudgetError,
                               StructuralError)
 from stlog.fixtures import load
@@ -27,6 +29,7 @@ from stlog.groebner import (FreeModule, GroebnerEngine, ModuleElement,
 from stlog.ratpoly import (COMP_BITS, MAX_EXPONENT, LaurentPolynomial,
                            PackedKeys, Polynomial, RationalSeries, mono_deg,
                            mono_mul, mono_zero)
+from stlog.verify import PAPER_CORPUS
 
 
 def ring_element(module, poly):
@@ -429,6 +432,35 @@ def test_minimal_level_orders_by_exact_coefficients_at_distinct_scales():
     assert kept == expected
 
 
+def test_lazy_candidate_order_equals_the_eager_one_on_fixtures(monkeypatch):
+    # the candidates of every resolution level of every D^p on the
+    # fixtures: term lists built only for degrees shared by two or more
+    # candidates give the order of sorting all of them by canonical key
+    levels = []
+    original = groebner._minimal_level
+
+    def recording(gens, module):
+        levels.append((list(gens), module))
+        return original(gens, module)
+
+    monkeypatch.setattr(groebner, "_minimal_level", recording)
+    for name in PAPER_CORPUS:
+        arr, mult = load(name)
+        with session.request():
+            for p in range(1, arr.ell):
+                logmod.derivation_module(arr, mult, p)
+    shared = alone = 0
+    for gens, module in levels:
+        lazy = [g for _, g in groebner._canonical_order(
+            gens, PackedKeys(module.nvars))]
+        eager = sorted((g for g in gens if not g.is_zero()), key=canonical)
+        assert list(map(id, lazy)) == list(map(id, eager))
+        sizes = collections.Counter(g.degree() for g in eager)
+        shared += sum(c for c in sizes.values() if c > 1)
+        alone += sum(c == 1 for c in sizes.values())
+    assert shared and alone
+
+
 def interreduce_every_row(eng):
     """The full pass: every row tail-reduced against all rows, in order."""
     for i, r in enumerate(eng.rows):
@@ -515,7 +547,7 @@ def test_normal_form_matches_single_divisor_division(data):
     if g.is_zero():
         return
     nf = normal_form(ring_element(module, h), [ring_element(module, g)])
-    assert nf.component(0) == h.divide(g)[1]
+    assert nf.component(0) == crosschecks.divide(h, g)[1]
 
 
 @settings(max_examples=30, deadline=None)

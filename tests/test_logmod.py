@@ -4,6 +4,7 @@ tameness, and the derivation/form duality."""
 import collections
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,8 @@ from stlog.exceptions import CertificateError, StructuralError
 from stlog.fixtures import load
 from stlog.groebner import BettiTable
 from stlog.ratpoly import (PackedKeys, LaurentPolynomial, Polynomial,
-                           RationalSeries, integer_terms)
-from stlog.verify import PAPER_CORPUS
+                           RationalSeries)
+from stlog.verify import PAPER_CORPUS, random_corpus
 
 
 def test_ex1_d1_generators_and_betti():
@@ -118,6 +119,53 @@ def test_rank2_multiarrangement_is_free():
     assert cert2.exponents == (3, 3)
 
 
+def test_integer_saito_scalar_matches_the_fraction_determinant():
+    # the determinant of the primitive integer vectors, compared with
+    # Q(A,m) term by term, against poly_det in Fractions and a division
+    items = [(name, *load(name)) for name in PAPER_CORPUS]
+    items += [("rank2", *parse("ell 2\nH 1 0 m=2\nH 0 1 m=3\nH 1 1\n")),
+              ("rank3", *parse("ell 3\nH 1 0 0 m=2\nH 0 1 0 m=3\n"
+                               "H 0 0 1\nH 1 -1 0 m=2\n"))]
+    free = 0
+    for name, arr, mult in items + random_corpus(0):
+        cert = logmod.is_free(arr, mult)
+        if cert is not None:
+            free += 1
+            assert cert.scalar == crosschecks.saito_scalar(arr, mult), name
+    assert free >= 10
+
+
+def test_repeated_generator_fails_the_saito_certificate(monkeypatch):
+    # bool3 with its first generator twice: pd 0, rank 3 and exponent sum
+    # 3 all hold, and det = 0 is no scalar multiple of Q
+    arr, mult = load("bool3")
+    d1 = logmod.derivation_module(arr, mult, 1)
+    g = d1.generators
+    twice = dataclasses.replace(d1, generators=(g[0], g[0], g[2]))
+    monkeypatch.setattr(logmod, "derivation_module", lambda *args: twice)
+    with pytest.raises(CertificateError, match="^Saito determinant is not "
+                       "a scalar multiple of Q\\(A,m\\)$"):
+        logmod.is_free(arr, mult)
+
+
+def test_saito_determinant_with_the_support_of_q_must_be_proportional(
+        monkeypatch):
+    # xy(x + y): the two elements (x, 0) and (0, xy + 2y^2) have degrees
+    # 1 + 2 = |m| and det x^2 y + 2 x y^2, which has the support of
+    # Q = x^2 y + x y^2 but is no scalar multiple of it
+    arr, mult = parse("ell 2\nH 1 0\nH 0 1\nH 1 1\n")
+    d1 = logmod.derivation_module(arr, mult, 1)
+    x, y = (Polynomial.variable(i, 2) for i in range(2))
+    module = d1.generators[0].module
+    fake = dataclasses.replace(d1, generators=(
+        module.element([x, Polynomial.zero(2)]),
+        module.element([Polynomial.zero(2), x * y + (y * y).scale(2)])))
+    monkeypatch.setattr(logmod, "derivation_module", lambda *args: fake)
+    with pytest.raises(CertificateError, match="^Saito determinant is not "
+                       "a scalar multiple of Q\\(A,m\\)$"):
+        logmod.is_free(arr, mult)
+
+
 def test_wedge_power_matches_direct_computation():
     # the wedges of a basis of the free D^1 are free generators of a
     # submodule of D^2 with the Hilbert series of D^2: all of D^2
@@ -205,7 +253,7 @@ def audit_every_j(arr, mult, p, gens):
                     if a and i not in J:
                         I = tuple(sorted(J + (i,)))
                         s = s + comps[cols.index(I)].scale((-1) ** I.index(i) * a)
-                if not s.divide(power)[1].is_zero():
+                if not crosschecks.divide(s, power)[1].is_zero():
                     return list(h.coeffs)
     return None
 
@@ -310,7 +358,8 @@ def test_audit_reads_a_positive_multiple_of_each_generator():
             for g in gens:
                 ivec, k = g.packed()
                 got = {keys.term(t)[1:]: c for t, c in ivec.items()}
-                ints = integer_terms(g.vec)
+                scale = math.lcm(*(c.denominator for c in g.vec.values()))
+                ints = {t: c * scale for t, c in g.vec.items()}
                 assert got.keys() == ints.keys()
                 t = next(iter(ints))
                 ratio = Fraction(got[t], ints[t])

@@ -3,17 +3,18 @@ substitution homomorphisms."""
 
 import ast
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosschecks import NonDivisibleError, divide, exact_divide
 from stlog import ratpoly
-from stlog.exceptions import (NonDivisibleError, ResourceBudgetError,
-                              StructuralError)
+from stlog.exceptions import ResourceBudgetError, StructuralError
 from stlog.ratpoly import (BiPolynomial, LaurentPolynomial, Polynomial,
-                           RationalSeries, exact_divide)
+                           RationalSeries)
 
 ONE_MINUS_X = LaurentPolynomial({0: 1, 1: -1})
 
@@ -35,13 +36,37 @@ def polynomials(draw, nvars=2, max_deg=3, max_terms=4, coeffs=coeffs):
 
 
 @st.composite
-def scaled_powers(draw, nvars=3):
-    """Non-primitive divisors c * alpha^m of a linear form alpha."""
-    alpha = Polynomial.from_linear_form(
-        draw(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars)
-             .filter(any)))
-    c = draw(st.sampled_from([Fraction(6, 5), Fraction(-4), Fraction(1, 3)]))
-    return (alpha ** draw(st.integers(1, 3))).scale(c)
+def linear_forms(draw, nvars=3, scales=(1,)):
+    """(coeffs, m): a nonzero integer linear form, times one of scales,
+    and a power m in 1..3."""
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=nvars,
+                           max_size=nvars).filter(any))
+    scale = draw(st.sampled_from(scales))
+    return tuple(c * scale for c in coeffs), draw(st.integers(1, 3))
+
+
+@st.composite
+def non_unit_lead_forms(draw, nvars=3):
+    """Primitive integer linear forms whose lead coefficient a_k, at the
+    first nonzero position k, is not +-1."""
+    k = draw(st.integers(0, nvars - 2))
+    lead = draw(st.sampled_from([-6, -3, -2, 2, 3, 4]))
+    tail = draw(st.lists(st.integers(-3, 3), min_size=nvars - k - 1,
+                         max_size=nvars - k - 1)
+                .filter(lambda t: gcd(lead, *t) == 1))
+    return (0,) * k + (lead, *tail)
+
+
+@st.composite
+def integer_forms(draw, degree, nvars=3, max_terms=5):
+    """Homogeneous integer polynomials of the given degree."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        cuts = sorted(draw(st.lists(st.integers(0, degree),
+                                    min_size=nvars - 1, max_size=nvars - 1)))
+        mono = tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+        terms[mono] = Fraction(draw(coeffs))
+    return Polynomial(nvars, terms)
 
 
 def grevlex_lead(p):
@@ -151,41 +176,64 @@ def test_polynomials_in_different_rings_do_not_mix():
 def test_poly_division_identity(a, b):
     if b.is_zero():
         with pytest.raises(StructuralError):
-            a.divide(b)
+            divide(a, b)
         return
-    q, r = a.divide(b)
+    q, r = divide(a, b)
     assert q * b + r == a
     lead = grevlex_lead(b)
     assert not any(all(x <= y for x, y in zip(lead, m)) for m in r.terms)
 
 
-def divisible(a, b):
-    """b divides a, tested as the membership audit tests it."""
-    divisor = ratpoly.IntegerDivisor(b)
-    return divisor.divides(
-        divisor.keys.keyed_terms(ratpoly.integer_terms(a.terms)))
+def divisible(a, coeffs, m):
+    """alpha^m divides a, for the linear form alpha with these
+    coefficients, tested as the membership audit tests it: a made
+    integral, in packed keys."""
+    keys = ratpoly.PackedKeys(a.nvars)
+    scale = lcm(*(c.denominator for c in a.terms.values()))
+    return ratpoly.LinearDivisor(keys, coeffs, m).divides(
+        {keys.key(sum(e), 0, e): int(c * scale) for e, c in a.terms.items()})
 
 
 @settings(max_examples=80)
-@given(polynomials(coeffs=fractions), polynomials(coeffs=fractions))
-def test_divisibility_matches_division_remainder(a, b):
+@given(polynomials(coeffs=fractions), linear_forms(nvars=2))
+def test_divisibility_matches_division_remainder(a, form):
+    coeffs, m = form
     with pytest.raises(StructuralError):
-        divisible(a, Polynomial.zero(2))
-    if b.is_zero():
-        return
-    assert divisible(a, b) == a.divide(b)[1].is_zero()
-    assert divisible(a * b, b)
+        divisible(a, (0, 0), 1)
+    power = Polynomial.from_linear_form(coeffs) ** m
+    assert divisible(a, coeffs, m) == divide(a, power)[1].is_zero()
+    assert divisible(a * power, coeffs, m)
 
 
 @settings(max_examples=80)
-@given(polynomials(nvars=3, coeffs=fractions), scaled_powers(),
+@given(polynomials(nvars=3, coeffs=fractions),
+       linear_forms(scales=(6, -4, 3)),
        polynomials(nvars=3, max_deg=2, max_terms=2, coeffs=fractions))
-def test_divisibility_by_non_primitive_powers(a, b, noise):
-    # Fraction(6, 5) * alpha^m is not primitive over Z: the integer test
-    # must make it primitive before it may reject a non-integral quotient
-    assert divisible(a * b, b)
-    c = a * b + noise
-    assert divisible(c, b) == c.divide(b)[1].is_zero()
+def test_divisibility_by_non_primitive_powers(a, form, noise):
+    # 6 * alpha is not primitive over Z: the integer test must make it
+    # primitive before it may reject a non-integral quotient
+    coeffs, m = form
+    power = Polynomial.from_linear_form(coeffs) ** m
+    assert divisible(a * power, coeffs, m)
+    c = a * power + noise
+    assert divisible(c, coeffs, m) == divide(c, power)[1].is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(non_unit_lead_forms(), st.integers(1, 3), st.data())
+def test_linear_divisor_agrees_with_polynomial_divide(coeffs, m, data):
+    # integer forms of degree <= 6: multiples of alpha^m; multiples of
+    # alpha^(m-1), which are multiples of alpha^m only if their cofactor
+    # is; and noise of the same degree, which mostly is not a multiple
+    alpha = Polynomial.from_linear_form(coeffs)
+    power = alpha ** m
+    d = data.draw(st.integers(m, 6), label="degree")
+    member = data.draw(integer_forms(d - m), label="cofactor") * power
+    near = data.draw(integer_forms(d - m + 1), label="near") * alpha ** (m - 1)
+    noise = data.draw(integer_forms(d, max_terms=2), label="noise")
+    assert divisible(member, coeffs, m)
+    for s in (member + noise, noise, near, member + near):
+        assert divisible(s, coeffs, m) == divide(s, power)[1].is_zero()
 
 
 def test_ratpoly_is_independent_of_groebner():
@@ -330,8 +378,9 @@ def test_integer_divisor_refuses_degrees_beyond_a_packed_field():
     y = Polynomial.variable(1, 2)
     top = ratpoly.MAX_EXPONENT
     with pytest.raises(ResourceBudgetError, match=f"degree {top + 1}"):
-        ratpoly.IntegerDivisor(x ** (top + 1))
+        ratpoly.LinearDivisor(ratpoly.PackedKeys(2), (1, 0), top + 1)
     with pytest.raises(ResourceBudgetError, match=f"degree {top + 1}"):
-        divisible(x ** top * y, x - y)
-    assert divisible(x ** top, x ** 2)
-    assert not divisible(x ** (top - 1) * y, x ** top)
+        divisible(x ** top * y, (1, -1), 1)
+    assert divisible(x ** top, (1, 0), 2)
+    assert not divisible(x ** (top - 1) * y, (1, 0), top)
+    assert not divisible(x ** top, (1, -1), 1)

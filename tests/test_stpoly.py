@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crosschecks
+from crosschecks import NonDivisibleError, exact_divide
 from stlog import lattice, logmod, session, stpoly
 from stlog.arrangement import Multiplicity, parse
 from stlog.exceptions import (CertificateError, GenericityNotFoundError,
-                              NonDivisibleError, NonGenericEtaError,
-                              StructuralError)
+                              NonGenericEtaError, StructuralError)
 from stlog.fixtures import load
 from stlog.groebner import BettiTable
-from stlog.ratpoly import (BiPolynomial, LaurentPolynomial, Polynomial,
-                           exact_divide)
+from stlog.ratpoly import BiPolynomial, LaurentPolynomial, Polynomial
 
 ONE_MINUS_X = LaurentPolynomial({0: 1, 1: -1})
 

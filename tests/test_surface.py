@@ -13,7 +13,6 @@ from test_bench_hooks import load_tracing
 # kept in src/stlog for the tests only, each with its reason
 TEST_REFERENCES = {
     "normal_form": "membership in a submodule, by a Groebner basis",
-    "exact_divide": "long division, against divide_one_minus_x",
     "in_row_span": "membership by linear algebra, against the engine",
     "FreeModule.element": "builds module elements from component lists",
     "BettiTable.beta": "reads one graded Betti number",
