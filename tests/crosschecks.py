@@ -123,17 +123,17 @@ def poly_det(rows) -> Polynomial:
     return result
 
 
-def defining_polynomial(arr, mult=None) -> Polynomial:
+def defining_polynomial(arr, mult) -> Polynomial:
     """Q(A,m), the product of the forms raised to their multiplicities."""
     q = Polynomial.one(arr.ell)
-    for h, m in zip(arr.hyperplanes, mult.values if mult else (1,) * arr.n):
+    for h, m in zip(arr.hyperplanes, mult.values):
         q = q * h.form() ** m
     return q
 
 
 def saito_scalar(arr, mult):
     """The Saito scalar of a free (A,m) in Fractions: det(theta_i(x_j)) of
-    the basis of D^1 by `poly_det`, over Q(A,m) by `Polynomial.divide`."""
+    the basis of D^1 by `poly_det`, over Q(A,m) by long division (`divide`)."""
     gens = logmod.derivation_module(arr, mult, 1).generators
     quo, rem = divide(poly_det([g.components() for g in gens]),
                       defining_polynomial(arr, mult))

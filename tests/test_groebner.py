@@ -537,8 +537,8 @@ def fraction_polys(draw, nvars, degrees):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_normal_form_matches_single_divisor_division(data):
-    # one divisor is a Groebner basis of its ideal, and Polynomial.divide is
-    # an independent grevlex division with Fraction arithmetic; the inputs
+    # one divisor is a Groebner basis of its ideal, and crosschecks.divide
+    # is an independent grevlex division with Fraction arithmetic; the inputs
     # need not be homogeneous
     nvars = 3
     module = FreeModule(nvars, [0])

@@ -238,7 +238,8 @@ def audit_every_j(arr, mult, p, gens):
     """Oracle for the membership audit: the first hyperplane, in the
     audit's order (generator, then hyperplane), at which some (p-1)-subset
     J gives an s = theta(alpha_H, x_J) that alpha_H^{m(H)} does not divide,
-    or None.  Every J is checked, each by `Polynomial.divide`."""
+    or None.  Every J is checked, each by long division
+    (`crosschecks.divide`)."""
     ell = arr.ell
     cols = list(itertools.combinations(range(ell), p))
     for g in gens:
