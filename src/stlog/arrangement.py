@@ -11,7 +11,6 @@ from math import gcd
 
 from . import linalg
 from .exceptions import ParseError, StructuralError
-from .ratpoly import Polynomial
 
 
 class Hyperplane:
@@ -35,9 +34,6 @@ class Hyperplane:
     @property
     def ell(self) -> int:
         return len(self.coeffs)
-
-    def form(self) -> Polynomial:
-        return Polynomial.from_linear_form(self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, Hyperplane) and self.coeffs == other.coeffs

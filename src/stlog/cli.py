@@ -9,6 +9,8 @@ Each input has one way in: arrangement files are read by
 setting is a flag with its default in the argument parser.  A malformed
 command line (unknown flag, bad value, missing argument) is a
 `ParseError` like any other input error; only `--help` exits early.
+Output cut short by a reader that closed the pipe (`| head`) ends the
+request quietly, with exit 0.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import ast
 import functools
 import json
 import operator
+import os
 import sys
 
 from . import arrangement as arrmod
@@ -231,6 +234,9 @@ def _cmd_st_algebra(args, arr, mult):
 
 
 def _cmd_essentialize(args, arr, mult):
+    if not arr.n:
+        raise ParseError("essentialize needs an arrangement of rank at "
+                         "least 1; this one has no hyperplanes")
     ess, essm = arrmod.essentialize(arr, mult)
     if args.json:
         print(_dump(arrmod.to_json(ess, essm)))
@@ -356,19 +362,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _run(args) -> int:
+    if args.command == "verify":
+        return _cmd_verify(args)
+    arr, mult = arrmod.load(args.input)
+    if args.command in ("chi", "st", "st-bipoly") \
+            and not arrmod.is_essential(arr):
+        raise ParseError(
+            f"{args.command} needs an essential arrangement; `stlog "
+            f"essentialize {args.input}` prints an equivalent one")
+    return _DISPATCH[args.command](args, arr, mult)
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         with session.request(args.max_pairs):
-            if args.command == "verify":
-                return _cmd_verify(args)
-            arr, mult = arrmod.load(args.input)
-            if args.command in ("chi", "st", "st-bipoly") \
-                    and not arrmod.is_essential(arr):
-                raise ParseError(
-                    f"{args.command} needs an essential arrangement; `stlog "
-                    f"essentialize {args.input}` prints an equivalent one")
-            return _DISPATCH[args.command](args, arr, mult)
+            code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader; stdout goes to devnull so that
+        # the interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 3

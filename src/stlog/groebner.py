@@ -15,14 +15,14 @@ representation alone: it logs its steps, and `_replay` applies them to
 the representation when the result is kept, so a candidate that
 reduces to zero costs no representation work.
 
-An engine skips the S-pairs that the Gebauer-Moeller criteria prove
-redundant (Gebauer-Moeller, On an installation of Buchberger's algorithm,
-JSC 1988), unless its caller asks for every pair.  For syzygies this
+Every engine follows one pair policy: it skips the S-pairs that the
+Gebauer-Moeller criteria prove redundant (Gebauer-Moeller, On an
+installation of Buchberger's algorithm, JSC 1988).  For syzygies this
 holds because the criteria keep a generating set of the syzygies of the
-lead terms, whose lifts generate Syz(G) (Schreyer).  The coprime-lead
-criterion drops the Koszul syzygies, so only an untracked engine over an
-ideal uses it.  Only `kernel_of_map` processes every pair: its output is
-a presentation, which skipping would change (not make wrong).
+lead terms, whose lifts generate Syz(G) (Schreyer), so the syzygies of
+`kernel_of_map` still generate the kernel.  The coprime-lead criterion
+drops the Koszul syzygies, so only an untracked engine over an ideal
+uses it.
 
 A minimal free resolution builds each of its modules with one tracked
 engine (`_minimal_level`): the candidates are fed by increasing degree,
@@ -316,20 +316,17 @@ class GroebnerEngine:
     is stored as the integer vector gen_scales[i] * g_i.  With track=True
     every basis row carries its representation in terms of the stored
     generators, and S-pairs that reduce to zero are collected as
-    syzygies of them.  The pairs the Gebauer-Moeller criteria prove
-    redundant are dropped (`_update_pairs`): the kept ones still give a
-    Groebner basis and, tracked, a generating set of the syzygies.  With
-    every_pair=True each pair is processed, for callers whose output is
-    one particular presentation.  Every processed S-pair is charged to
-    the session that is current when the engine is built.  A vector or
-    S-pair of degree above `cap` is a ResourceBudgetError (`_encode`).
+    syzygies of them.  One pair policy serves every engine: the pairs
+    the Gebauer-Moeller criteria prove redundant are dropped
+    (`_update_pairs`), and the kept ones still give a Groebner basis and,
+    tracked, a generating set of the syzygies.  Every processed S-pair is charged to the session
+    that is current when the engine is built.  A vector or S-pair of
+    degree above `cap` is a ResourceBudgetError (`_encode`).
     """
 
-    def __init__(self, module: FreeModule, track: bool = False,
-                 every_pair: bool = False):
+    def __init__(self, module: FreeModule, track: bool = False):
         self.module = module
         self.track = track
-        self.every_pair = every_pair
         self.session = session.current()
         self.keys = PackedKeys(module.nvars)
         self.cap = MAX_EXPONENT + min([0, *module.shifts])  # see `_encode`
@@ -348,10 +345,10 @@ class GroebnerEngine:
         self.rows.append(row)
         comp, lm = row.comp, row.mono
         self._lead_index.setdefault(comp, []).append((row.lead, idx))
-        new = [(tuple(map(max, other.mono, lm)), j)
-               for j, other in enumerate(self.rows[:-1]) if other.comp == comp]
-        if not self.every_pair:
-            new = self._update_pairs(new, comp, lm)
+        new = self._update_pairs(
+            [(tuple(map(max, other.mono, lm)), j)
+             for j, other in enumerate(self.rows[:-1]) if other.comp == comp],
+            comp, lm)
         shift = self.module.shifts[comp]
         for lcm_m, j in new:
             heappush(self._pairs, (sum(lcm_m) + shift, j, idx, lcm_m))
@@ -577,43 +574,32 @@ def syzygy_module(gens, module: FreeModule | None = None):
 
 
 def kernel_of_map(columns, source: FreeModule, target: FreeModule,
-                  relations=None):
+                  relations=()):
     """Kernel of the graded map source -> target/(relations).
 
-    columns[j] is the image of the j-th basis vector of source, as a
-    ModuleElement of target.  relations is an optional list of
-    (row_index, Polynomial q) meaning the target is divided by q*e_row.
-    Computed by augmenting with the relation columns: the syzygies of
-    columns and relations, projected onto the source coordinates.
+    columns[j] is the image of the j-th basis vector of source, and each
+    relation an element of target that the target is divided by, all as
+    ModuleElements of target, which enter as their integer vectors
+    (`ModuleElement.packed`): a caller may build them as such.  Computed
+    by augmenting with the relation columns: the syzygies of columns and
+    relations, projected onto the source coordinates.
 
     The relations enter with an empty representation, so the rows carry
     representation terms on the source coordinates only.  That projection
     is linear and the reducers are chosen by row leads alone, so each
     recorded syzygy is a positive multiple of the projection of the one
-    full representations would give: the monic kernel is the same.
-
-    A column enters as its integer vector (`ModuleElement.packed`), which
-    a caller may build as such.  A relation polynomial that several rows
-    share (the same object) is encoded once per row shift, in the first
-    such row, and moved to the others by adding the difference of their
-    component fields to every key.
+    full representations would give, and the kept syzygies generate the
+    kernel (Schreyer).
     """
     columns = list(columns)
     if len(columns) != source.rank:
         raise StructuralError("column count does not match source rank")
-    eng = GroebnerEngine(target, track=True, every_pair=True)
+    eng = GroebnerEngine(target, track=True)
     for j, col in enumerate(columns):
         ivec, k = col.packed()
         eng.add_vector(dict(ivec), source.shifts[j], k)
-    cs, first = eng.keys.comp_shift, {}     # (id(q), shift) -> (row, vector)
-    for (r, q) in (relations or []):
-        key = id(q), target.shifts[r]
-        if key not in first:
-            first[key] = r, eng._encode({(r, m): c
-                                         for m, c in q.terms.items()})[1]
-        r0, ivec = first[key]
-        delta = (r - r0) << cs
-        eng._insert({t + delta: c for t, c in ivec.items()}, {})
+    for rel in relations:
+        eng._insert(dict(rel.packed()[0]), {})
     eng.complete()
     return eng.syzygy_elements(source)
 
@@ -783,14 +769,6 @@ class Resolution:
         self.modules = list(modules)
         self.diffs = list(diffs)
         self.generators = list(generators)
-
-    @property
-    def pd(self) -> int:
-        return self.betti().pd
-
-    @property
-    def reg(self):
-        return self.betti().reg
 
     def betti(self) -> BettiTable:
         return BettiTable(Counter((i, s) for i, F in enumerate(self.modules)

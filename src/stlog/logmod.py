@@ -154,25 +154,35 @@ def _principal(arr: Arrangement, mult: Multiplicity, p: int):
 
 
 def _defining_vector(arr: Arrangement, mult: Multiplicity, keys: PackedKeys):
-    """Q(A,m) = prod alpha_H^{m(H)}, multiplied out in integers in packed
-    keys, where a product of terms is the sum of their keys.  Each
-    alpha_H is primitive with its lead, the first coefficient, positive
-    (`Hyperplane`), so Q is primitive (Gauss's lemma) with positive lead:
-    the vector an engine hands out (`ModuleElement.packed`)."""
-    if mult.total > MAX_EXPONENT:
-        raise degree_overflow(mult.total)
-    zero = (0,) * arr.ell
-    units = [keys.key(1, 0, zero[:i] + (1,) + zero[i + 1:])
-             for i in range(arr.ell)]
+    """Q(A,m) = prod alpha_H^{m(H)} as an integer vector (`_power_product`)."""
+    return _power_product(zip((h.coeffs for h in arr.hyperplanes),
+                              mult.values), keys)
+
+
+def _power_product(factors, keys: PackedKeys):
+    """prod alpha^m over the pairs (alpha's coefficients, m) of factors,
+    multiplied out in integers in packed keys of component 0, where a
+    product of terms is the sum of their keys.  A degree beyond a packed
+    field is refused before anything is multiplied.  Each alpha_H is
+    primitive with its lead, the first coefficient, positive
+    (`Hyperplane`), so the product is primitive (Gauss's lemma) with
+    positive lead: the vector an engine hands out
+    (`ModuleElement.packed`)."""
+    factors = list(factors)
+    degree = sum(m for _, m in factors)
+    if degree > MAX_EXPONENT:
+        raise degree_overflow(degree)
     q = {0: 1}
-    for h, m in zip(arr.hyperplanes, mult.values):
-        form = [(u, c) for u, c in zip(units, h.coeffs) if c]
+    for coeffs, m in factors:
+        zero = (0,) * len(coeffs)
+        form = [(keys.key(1, 0, zero[:i] + (1,) + zero[i + 1:]), c)
+                for i, c in enumerate(coeffs) if c]
         for _ in range(m):
-            prod = {}
+            out = {}
             for t, c in q.items():
                 for u, a in form:
-                    prod[t + u] = prod.get(t + u, 0) + c * a
-            q = {t: c for t, c in prod.items() if c}
+                    out[t + u] = out.get(t + u, 0) + c * a
+            q = {t: c for t, c in out.items() if c}
     return q
 
 
@@ -198,9 +208,14 @@ def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
         g = gcd(*vec.values()) or 1
         columns.append(ModuleElement(target, None, (
             {t: c // g for t, c in vec.items()}, Fraction(1, g), keys)))
-    powers = [h.form() ** mult.values[hi]
-              for hi, h in enumerate(arr.hyperplanes)]
-    relations = [(r, powers[hi]) for r, (hi, _) in enumerate(rows)]
+    # alpha_H^{m(H)} e_r, each power built once and moved to its rows by
+    # adding the component field to every key
+    powers = [_power_product([(h.coeffs, m)], keys)
+              for h, m in zip(arr.hyperplanes, mult.values)]
+    cs = keys.comp_shift
+    relations = [ModuleElement(target, None, (
+        {t + (r << cs): c for t, c in powers[hi].items()}, 1, keys))
+        for r, (hi, _) in enumerate(rows)]
 
     raw = kernel_of_map(columns, source, target, relations)
     try:

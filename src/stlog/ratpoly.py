@@ -34,7 +34,7 @@ from itertools import accumulate
 from math import gcd
 from operator import add
 from struct import Struct
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .exceptions import ResourceBudgetError, StructuralError
 
@@ -259,18 +259,6 @@ class Polynomial(_Sparse):
         e = [0] * nvars
         e[i] = 1
         return cls(nvars, {tuple(e): Fraction(1)})
-
-    @classmethod
-    def from_linear_form(cls, coeffs: Iterable[int]) -> "Polynomial":
-        coeffs = list(coeffs)
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = Fraction(c)
-        return cls(n, terms)
 
     # -- predicates
     def degree(self):

@@ -184,16 +184,14 @@ def check_low_degree_coefficients(arr: Arrangement, mult: Multiplicity, d: int,
 
 
 def check_st_algebra_equality(arr: Arrangement, mult: Multiplicity, d: int,
-                              seed: int = 0, subject: str = "",
-                              max_attempts: int = 16) -> CheckReport:
+                              seed: int = 0, subject: str = "") -> CheckReport:
     """For tame (A,m): Hilbert function of S/a equals the ST_{d+1}
     coefficients; for non-tame input both sides are reported."""
     name = f"st-algebra-equality[d={d}]"
     if not is_essential(arr):
         return CheckReport(name, subject, "not-applicable",
                            witness={"reason": "arrangement not essential"})
-    result = stpoly.sample_generic_eta(arr, mult, d, seed=seed,
-                                       max_attempts=max_attempts)
+    result = stpoly.sample_generic_eta(arr, mult, d, seed=seed)
     st = stpoly.st_polynomial_order(arr, mult, d)
     deg = st.degree()
     st_coeffs = [st.coefficient(i) for i in range(deg + 1)]
@@ -218,14 +216,14 @@ PAPER_CORPUS = ("ex1", "ex2_A", "ex2_Aprime", "ex2_B", "generic_3_4",
                 "bool1", "bool2", "bool3")
 
 
-def random_corpus(seed: int, count: int = 50, max_ell: int = 3,
-                  max_n: int = 7):
-    """Seeded essential simple arrangements with coefficients in -2..2."""
+def random_corpus(seed: int, count: int = 50):
+    """Seeded essential simple arrangements of rank 2 or 3, with at most 7
+    hyperplanes and coefficients in -2..2."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        ell = rng.randint(2, max_ell)
-        n = rng.randint(ell, max_n)
+        ell = rng.randint(2, 3)
+        n = rng.randint(ell, 7)
         hps = set()
         tries = 0
         while len(hps) < n and tries < 200:

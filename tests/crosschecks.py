@@ -2,8 +2,9 @@
 API for the tests.  Each raises AssertionError when its identity fails.
 Also the Fraction references the tests compare the program against:
 long division by one polynomial, exact Laurent division, the Saito
-determinant and Q(A,m)."""
+determinant, Q(A,m) and the linear form alpha_H."""
 
+from fractions import Fraction
 from itertools import combinations
 from operator import le
 
@@ -123,11 +124,18 @@ def poly_det(rows) -> Polynomial:
     return result
 
 
+def linear_form(coeffs) -> Polynomial:
+    """The linear form with these integer coefficients, in Fractions."""
+    n = len(coeffs)
+    return Polynomial(n, {tuple(int(j == i) for j in range(n)): Fraction(c)
+                          for i, c in enumerate(coeffs) if c})
+
+
 def defining_polynomial(arr, mult) -> Polynomial:
     """Q(A,m), the product of the forms raised to their multiplicities."""
     q = Polynomial.one(arr.ell)
     for h, m in zip(arr.hyperplanes, mult.values):
-        q = q * h.form() ** m
+        q = q * linear_form(h.coeffs) ** m
     return q
 
 

@@ -23,8 +23,7 @@ _random_corpus = None
 def random_corpus():
     global _random_corpus
     if _random_corpus is None:
-        _random_corpus = verify.random_corpus(seed=0, count=50,
-                                              max_ell=3, max_n=7)
+        _random_corpus = verify.random_corpus(seed=0, count=50)
     return _random_corpus
 
 

@@ -269,8 +269,8 @@ def test_koszul_resolution_of_maximal_ideal():
     assert betti.beta(0, 1) == 3
     assert betti.beta(1, 2) == 3
     assert betti.beta(2, 3) == 1
-    assert res.pd == 2
-    assert res.reg == 1
+    assert betti.pd == 2
+    assert betti.reg == 1
 
 
 def scaled_columns(cols, factors):
@@ -658,7 +658,8 @@ def test_kernel_of_map_with_relations():
     target = FreeModule(nvars, [0])
     x = Polynomial.variable(0, 1)
     columns = [target.element([Polynomial.one(1)])]
-    kernel = kernel_of_map(columns, source, target, relations=[(0, x * x)])
+    kernel = kernel_of_map(columns, source, target,
+                           relations=[target.element([x * x])])
     minimal = minimalize_generators(kernel, source)
     assert len(minimal) == 1
     assert minimal[0].component(0) == x * x
@@ -682,10 +683,10 @@ def test_kernel_of_map_with_relations_is_complete(data):
                                         max_terms=3))
         if data.draw(st.booleans()) and not q.is_zero():
             relations.append((r, q))
-    kernel = kernel_of_map(columns, source, target, relations)
     rel_gens = [target.element([q if j == r else Polynomial.zero(nvars)
                                 for j in range(target.rank)])
                 for r, q in relations]
+    kernel = kernel_of_map(columns, source, target, rel_gens)
     for d in range(4):
         source_index, _ = module_graded_piece([], source, d)
         target_index, rel_rows = module_graded_piece(rel_gens, target, d)

@@ -245,9 +245,7 @@ def audit_every_j(arr, mult, p, gens):
     for g in gens:
         comps = g.components()
         for h, m in zip(arr.hyperplanes, mult.values):
-            power = Polynomial.one(ell)
-            for _ in range(m):
-                power = power * h.form()
+            power = crosschecks.linear_form(h.coeffs) ** m
             for J in itertools.combinations(range(ell), p - 1):
                 s = Polynomial.zero(ell)
                 for i, a in enumerate(h.coeffs):
@@ -297,7 +295,7 @@ def test_audit_agrees_with_an_every_j_oracle(arr_mult, data):
     f = Polynomial.one(ell)
     for h, m in zip(arr.hyperplanes[:data.draw(st.integers(0, arr.n))],
                     mult.values):
-        f = f * h.form() ** m
+        f = f * crosschecks.linear_form(h.coeffs) ** m
     x = Polynomial.variable(data.draw(st.integers(0, ell - 1)), ell)
     lift = x ** max(0, f.degree() - gens[i].degree())
     comps = [c * lift for c in gens[i].components()]
@@ -345,6 +343,24 @@ def test_top_module_closed_form_matches_the_kernel(arr_mult):
     # rank 4 draws at most three hyperplanes, so many draws are not
     # essential; the example is not essential either (no x3)
     assert_top_module_matches_the_kernel(*arr_mult)
+
+
+@settings(max_examples=40, deadline=None)
+@given(multiarrangements())
+def test_power_product_matches_fraction_powers(arr_mult):
+    # the one integer product behind the kernel's relations alpha_H^{m(H)}
+    # and Q(A,m), read back from its packed keys, against Fraction powers
+    arr, mult = arr_mult
+    keys = PackedKeys(arr.ell)
+
+    def read(vec):
+        return Polynomial(arr.ell, {keys.term(t)[2]: Fraction(c)
+                                    for t, c in vec.items()})
+    for h, m in zip(arr.hyperplanes, mult.values):
+        assert read(logmod._power_product([(h.coeffs, m)], keys)) == \
+            crosschecks.linear_form(h.coeffs) ** m
+    assert read(logmod._defining_vector(arr, mult, keys)) == \
+        crosschecks.defining_polynomial(arr, mult)
 
 
 def test_audit_reads_a_positive_multiple_of_each_generator():

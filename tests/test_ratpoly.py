@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosschecks import NonDivisibleError, divide, exact_divide
+from crosschecks import NonDivisibleError, divide, exact_divide, linear_form
 from stlog import ratpoly
 from stlog.exceptions import ResourceBudgetError, StructuralError
 from stlog.ratpoly import (BiPolynomial, LaurentPolynomial, Polynomial,
@@ -146,7 +146,7 @@ def test_negative_power_is_refused(value, one):
 
 
 @pytest.mark.parametrize("value, one", [
-    (Polynomial.from_linear_form([1, -2, 3]), Polynomial.one(3)),
+    (linear_form([1, -2, 3]), Polynomial.one(3)),
     (LaurentPolynomial({-1: 2, 3: Fraction(1, 3)}), LaurentPolynomial.one()),
     (BiPolynomial({(1, 1): 1, (-2, 0): -3}), BiPolynomial.one())])
 def test_powers_start_from_the_base(value, one):
@@ -200,7 +200,7 @@ def test_divisibility_matches_division_remainder(a, form):
     coeffs, m = form
     with pytest.raises(StructuralError):
         divisible(a, (0, 0), 1)
-    power = Polynomial.from_linear_form(coeffs) ** m
+    power = linear_form(coeffs) ** m
     assert divisible(a, coeffs, m) == divide(a, power)[1].is_zero()
     assert divisible(a * power, coeffs, m)
 
@@ -213,7 +213,7 @@ def test_divisibility_by_non_primitive_powers(a, form, noise):
     # 6 * alpha is not primitive over Z: the integer test must make it
     # primitive before it may reject a non-integral quotient
     coeffs, m = form
-    power = Polynomial.from_linear_form(coeffs) ** m
+    power = linear_form(coeffs) ** m
     assert divisible(a * power, coeffs, m)
     c = a * power + noise
     assert divisible(c, coeffs, m) == divide(c, power)[1].is_zero()
@@ -225,7 +225,7 @@ def test_linear_divisor_agrees_with_polynomial_divide(coeffs, m, data):
     # integer forms of degree <= 6: multiples of alpha^m; multiples of
     # alpha^(m-1), which are multiples of alpha^m only if their cofactor
     # is; and noise of the same degree, which mostly is not a multiple
-    alpha = Polynomial.from_linear_form(coeffs)
+    alpha = linear_form(coeffs)
     power = alpha ** m
     d = data.draw(st.integers(m, 6), label="degree")
     member = data.draw(integer_forms(d - m), label="cofactor") * power
