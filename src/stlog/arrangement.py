@@ -196,20 +196,18 @@ def parse(text: str):
     return arr, mult
 
 
-def render(arr: Arrangement, mult: Multiplicity | None = None) -> str:
+def render(arr: Arrangement, mult: Multiplicity) -> str:
     lines = [f"ell {arr.ell}"]
-    values = mult.values if mult else (1,) * arr.n
-    for h, m in zip(arr.hyperplanes, values):
+    for h, m in zip(arr.hyperplanes, mult.values):
         suffix = f" m={m}" if m != 1 else ""
         lines.append("H " + " ".join(str(c) for c in h.coeffs) + suffix)
     return "\n".join(lines) + "\n"
 
 
-def to_json(arr: Arrangement, mult: Multiplicity | None = None):
-    values = mult.values if mult else (1,) * arr.n
+def to_json(arr: Arrangement, mult: Multiplicity):
     return {"ell": arr.ell,
             "hyperplanes": [{"coeffs": list(h.coeffs), "m": m}
-                            for h, m in zip(arr.hyperplanes, values)]}
+                            for h, m in zip(arr.hyperplanes, mult.values)]}
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +281,8 @@ def decompose_product(arr: Arrangement, mult: Multiplicity):
     return out
 
 
-def is_irreducible(arr: Arrangement, mult: Multiplicity | None = None) -> bool:
+def is_irreducible(arr: Arrangement, mult: Multiplicity) -> bool:
     """Irreducibility of the essentialized arrangement."""
-    if mult is None:
-        mult = Multiplicity.simple(arr.n)
     ess, essm = essentialize(arr, mult)
     if ess.n == 0:
         return False

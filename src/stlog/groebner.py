@@ -7,13 +7,12 @@ order: graded reverse lex on monomials, extended position-over-term with
 degree-first comparison using the shifts.  Buchberger with module
 S-pairs; syzygies come from recording the representation of every basis
 element in terms of the original generators and collecting the
-relations produced by S-pairs that reduce to zero (Schreyer).  One
-reduction loop, `_reduce`, serves the engine, `normal_form` and the
-reduced basis.  It pops each lead from a heap of the remainder's keys,
-reads each row's tail from items stored once, and leaves the
-representation alone: it logs its steps, and `_replay` applies them to
-the representation when the result is kept, so a candidate that
-reduces to zero costs no representation work.
+relations produced by S-pairs that reduce to zero (Schreyer): g_i
+enters as g_i + e_i, e_i a term in a component past the module's, which
+never leads, so it rides along in every reduction step.  One reduction
+loop, `_reduce`, serves the engine, `normal_form` and the reduced basis.
+It pops each lead from a heap of the remainder's module keys and reads
+each row's tail from items stored once.
 
 Every engine follows one pair policy: it skips the S-pairs that the
 Gebauer-Moeller criteria prove redundant (Gebauer-Moeller, On an
@@ -37,18 +36,18 @@ as a flat dict {(component, monomial): Fraction}.  Inside the engine a
 term is one int, a packed exponent vector whose integer order is the
 module order (`ratpoly.PackedKeys`, after Monagan-Pearce), so a shift is
 one addition and a lead test one subtraction and a mask.  A basis row is
-a primitive integer vector whose representation vector shares its scale,
-with positive lead coefficient.  A syzygy leaves an engine as such a
-vector too, in the keys of the free module on the generators, and is
-the next engine's candidate as it is: only the kept generators and
-differentials are decoded to Fractions, when they are read.  Reduction
-is fraction-free (Geddes-Czapor-Labahn, Algorithms for Computer
-Algebra, ch. 10): to cancel a term, the remainder is multiplied by a
-nonzero integer instead of dividing the row by its lead coefficient.
-Scaling changes no lead term and no zero pattern, so the reducers, the
-S-pair sequence and the monic outputs are exactly those of Fraction
-arithmetic with monic rows, with one integer gcd per reduction step in
-place of one per coefficient operation.
+a primitive integer vector, representation terms included, with
+positive lead coefficient.  A syzygy leaves an engine as such a vector
+too, in the keys of the free module on the generators, and is the next
+engine's candidate as it is: only the kept generators and differentials
+are decoded to Fractions, when they are read.  Reduction is
+fraction-free (Geddes-Czapor-Labahn, Algorithms for Computer Algebra,
+ch. 10): to cancel a term, the remainder is multiplied by a nonzero
+integer instead of dividing the row by its lead coefficient.  Scaling
+changes no lead term and no zero pattern, so the reducers, the S-pair
+sequence and the monic outputs are exactly those of Fraction arithmetic
+with monic rows, with one integer gcd per reduction step in place of one
+per coefficient operation.
 """
 
 from __future__ import annotations
@@ -134,11 +133,12 @@ class ModuleElement:
         """(ivec, k): the primitive integer vector ivec = k * vec, k > 0, in
         the packed keys of the module, where a term's degree counts the
         shift of its component; encoded as a new engine over the module
-        would (`GroebnerEngine._encode`), once."""
+        would (`_encode`), once."""
         if self._packed is None:
-            eng = GroebnerEngine(self.module)
-            k, ivec = eng._encode(self._vec)
-            self._packed = ivec, k, eng.keys
+            keys = PackedKeys(self.module.nvars)
+            k, ivec = _encode(self._vec, self.module, keys,
+                              MAX_EXPONENT + min([0, *self.module.shifts]))
+            self._packed = ivec, k, keys
         return self._packed[:2]
 
     def is_zero(self) -> bool:
@@ -179,11 +179,11 @@ class ModuleElement:
 # the engine's integer vectors
 #
 # A term (comp, mono) of a module with shifts is the packed key of
-# (deg mono + shifts[comp], comp, mono) (`ratpoly.PackedKeys`), and so is
-# a term of a representation over the free module on the generators
-# (shifts = generator degrees).  Reduction never raises the top degree of
-# a vector, so an engine that bounds the degree of each vector it encodes
-# and of each S-pair keeps every exponent within its field.
+# (deg mono + shifts[comp], comp, mono) (`ratpoly.PackedKeys`), and a
+# representation term x^m e_i that of (deg m + deg g_i, rank + i, m).
+# Reduction never raises the top degree of a vector, so an engine that
+# bounds the degree of each vector it encodes and of each S-pair keeps
+# every exponent within its field.
 
 _COMP_MASK = (1 << COMP_BITS) - 1
 
@@ -191,6 +191,24 @@ _COMP_MASK = (1 << COMP_BITS) - 1
 def _decode(ivec, scale, keys):
     """The flat dict {(comp, mono): Fraction} of ivec / scale."""
     return {keys.term(t)[1:]: Fraction(c, scale) for t, c in ivec.items()}
+
+
+def _encode(vec, module, keys, cap):
+    """(k, ivec): ivec = k * vec as a primitive integer vector in packed
+    keys, for a flat dict vec {(comp, mono): rational} of module; a term
+    of degree above cap is a ResourceBudgetError."""
+    den = lcm(*(c.denominator for c in vec.values()))
+    ivec = {}
+    for (comp, m), c in vec.items():
+        d = sum(m) + module.shifts[comp]
+        if d > cap:
+            raise degree_overflow(d)
+        ivec[keys.key(d, comp, m)] = c.numerator * (den // c.denominator)
+    g = gcd(*ivec.values()) or 1
+    if g != 1:
+        for t in ivec:
+            ivec[t] //= g
+    return Fraction(den, g), ivec
 
 
 def _isub_scaled(dst, items, q, delta):
@@ -206,26 +224,25 @@ def _isub_scaled(dst, items, q, delta):
 
 
 class _Row:
-    __slots__ = ("vec", "lead", "lc", "rep", "comp", "mono", "tail")
+    __slots__ = ("vec", "lead", "lc", "comp", "mono", "tail")
 
-    def __init__(self, vec, rep, keys):
-        """A basis row from an integer vector and its representation (or
-        None): both divided by their joint content, with positive lead
-        coefficient and the lead term first in vec.  The items a reduction
-        step reads are stored once: tail, those of vec after the lead, and
-        rep, those of the representation (None untracked)."""
-        lead = min(vec)
-        g = gcd(*vec.values(), *(rep.values() if rep else ()))
+    def __init__(self, vec, keys, rank):
+        """A basis row from an integer vector, representation terms (in
+        components rank and above) included: divided by its content, with
+        positive lead coefficient.  vec holds the module terms, lead first;
+        tail, every term after the lead, the items a reduction step reads."""
+        comps, bound = _COMP_MASK << keys.comp_shift, rank << keys.comp_shift
+        lead = min(t for t in vec if t & comps < bound)
+        g = gcd(*vec.values())
         if vec[lead] < 0:
             g = -g
         self.lead = lead
         _, self.comp, self.mono = keys.term(lead)
         self.lc = vec[lead] // g
-        self.vec = {lead: self.lc}
-        self.vec.update((t, c // g) for t, c in vec.items())
-        self.tail = tuple(self.vec.items())[1:]
-        self.rep = None if rep is None else tuple((t, c // g)
-                                                  for t, c in rep.items())
+        row = {lead: self.lc}
+        row.update((t, c // g) for t, c in vec.items())
+        self.tail = tuple(row.items())[1:]
+        self.vec = {t: c for t, c in row.items() if t & comps < bound}
 
 
 def _index_by_lead(rows):
@@ -236,7 +253,7 @@ def _index_by_lead(rows):
     return index
 
 
-def _reduce(rem, rows, lead_index, keys, steps=None):
+def _reduce(rem, rows, lead_index, keys, rank):
     """Fraction-free normal form of the integer vector rem against rows.
 
     rem is consumed.  To remove a term with coefficient c by a row with
@@ -248,13 +265,15 @@ def _reduce(rem, rows, lead_index, keys, steps=None):
     2011): a term that cancels stays in rem as 0 until it is popped, and
     a key enters the heap only when it enters rem, so it is never pushed
     twice, and the terms a step adds all follow the lead it removes.
-    steps, if a list, receives each step as (f, q, shift, row) for
-    `_replay`, which repeats them on a representation.
+    No row leads in a component rank or above, so the representation
+    terms there never enter the heap: they are rescaled and subtracted,
+    and follow the module terms in out, in the order they first appeared.
     """
     out = {}
     scale = 1
     guard, cs = keys.guard, keys.comp_shift
-    heap = list(rem)
+    comps, bound = _COMP_MASK << cs, rank << cs
+    heap = [t for t in rem if t & comps < bound]
     heapify(heap)
     while heap:
         t = heappop(heap)
@@ -284,26 +303,12 @@ def _reduce(rem, rows, lead_index, keys, steps=None):
             x = get(k)
             if x is None:
                 rem[k] = -q * v
-                heappush(heap, k)
+                if k & comps < bound:
+                    heappush(heap, k)
             else:
                 rem[k] = x - q * v
-        if steps is not None:
-            steps.append((f, q, delta, row))
+    out.update((t, c) for t, c in rem.items() if c)
     return out, scale
-
-
-def _replay(rep, steps):
-    """Apply the steps `_reduce` logged to the representation rep, in
-    place: multiplied by the same factors, minus the same multiples of
-    the rows' representations, in the same order.  So if rep starts as
-    the representation of the reduced vector, it ends as that of the
-    remainder.  A caller that may drop the remainder replays only when it
-    keeps it."""
-    for f, q, delta, row in steps:
-        if f != 1:
-            for k, v in rep.items():
-                rep[k] = v * f
-        _isub_scaled(rep, row.rep, q, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +318,17 @@ class GroebnerEngine:
     """Incremental Buchberger over a graded free module.
 
     Generator i enters as a flat dict over Q or as an integer vector, and
-    is stored as the integer vector gen_scales[i] * g_i.  With track=True
-    every basis row carries its representation in terms of the stored
-    generators, and S-pairs that reduce to zero are collected as
-    syzygies of them.  One pair policy serves every engine: the pairs
-    the Gebauer-Moeller criteria prove redundant are dropped
-    (`_update_pairs`), and the kept ones still give a Groebner basis and,
-    tracked, a generating set of the syzygies.  Every processed S-pair is charged to the session
-    that is current when the engine is built.  A vector or S-pair of
-    degree above `cap` is a ResourceBudgetError (`_encode`).
+    is stored as the integer vector gen_scales[i] * g_i, with track=True
+    plus e_i, the term of degree deg g_i in component rank + i.  So every
+    basis row carries its representation in terms of the stored
+    generators, and an S-pair whose module terms reduce to zero leaves a
+    syzygy of them.  One pair policy serves every engine: the pairs the
+    Gebauer-Moeller criteria prove redundant are dropped (`_update_pairs`),
+    and the kept ones still give a Groebner basis and, tracked, a
+    generating set of the syzygies.  Every processed S-pair is
+    charged to the session that is current when the engine is built.  A
+    vector or S-pair of degree above `cap` is a ResourceBudgetError
+    (`_encode`).
     """
 
     def __init__(self, module: FreeModule, track: bool = False):
@@ -336,11 +343,11 @@ class GroebnerEngine:
         self._pairs_done = 0
         self.gen_degrees: list[int] = []
         self.gen_scales: list[Fraction] = []
-        self.syzygies: list[dict] = []          # integer rep vecs
+        self.syzygies: list[dict] = []          # integer representations
 
     # -- basis growth --------------------------------------------------
-    def _append_row(self, vec, rep):
-        row = _Row(vec, rep, self.keys)
+    def _append_row(self, vec):
+        row = _Row(vec, self.keys, self.module.rank)
         idx = len(self.rows)
         self.rows.append(row)
         comp, lm = row.comp, row.mono
@@ -389,25 +396,23 @@ class GroebnerEngine:
             kept.append((lcm_gh, j))
         return [(lcm_gh, j) for lcm_gh, j in kept if j not in coprime]
 
-    def _insert(self, vec, rep, syzygy=True):
-        """Reduce the integer vec, whose representation is rep (None
-        untracked); keep the remainder as a new row and return True, or
-        record rep as a syzygy (if syzygy) when it is 0.  rep follows the
-        reduction (`_replay`) only if it is kept, as a row or a syzygy."""
-        steps = None if rep is None else []
-        rem, _ = _reduce(vec, self.rows, self._lead_index, self.keys, steps)
-        if steps and (rem or syzygy):
-            _replay(rep, steps)
-        if rem:
-            self._append_row(rem, rep)
-        elif rep and syzygy:
-            self.syzygies.append(rep)
-        return bool(rem)
+    def _insert(self, vec, syzygy=True):
+        """Reduce the integer vec; keep the remainder as a new row and
+        return True if a module term is left, or else record what is left,
+        a representation of zero, as a syzygy (if syzygy and nonzero)."""
+        rank = self.module.rank
+        rem, _ = _reduce(vec, self.rows, self._lead_index, self.keys, rank)
+        if rem and self.keys.comp(next(iter(rem))) < rank:
+            self._append_row(rem)
+            return True
+        if rem and syzygy:
+            self.syzygies.append(rem)
+        return False
 
     def add_generator(self, vec, degree):
         """Feed one original generator (flat dict) of the given degree;
         returns its index."""
-        k, ivec = self._encode(vec)
+        k, ivec = _encode(vec, self.module, self.keys, self.cap)
         return self.add_vector(ivec, degree, k)
 
     def add_vector(self, ivec, degree, scale, minimal=False):
@@ -418,32 +423,16 @@ class GroebnerEngine:
         if degree > self.cap:
             raise degree_overflow(degree)
         gi = len(self.gen_degrees)
-        rep = {self.keys.key(degree, gi, mono_zero(self.module.nvars)): 1} \
-            if self.track else None
-        if not self._insert(ivec, rep, syzygy=not minimal) and minimal:
+        if self.track:
+            ivec[self.keys.key(degree, self.module.rank + gi,
+                               mono_zero(self.module.nvars))] = 1
+        if not self._insert(ivec, syzygy=not minimal) and minimal:
             return None
         self.gen_degrees.append(degree)
         self.gen_scales.append(scale)
         if self.track:
             self.cap = min(self.cap, MAX_EXPONENT + degree)
         return gi
-
-    def _encode(self, vec):
-        """(k, ivec): ivec = k * vec as a primitive integer vector in packed
-        keys, for a flat dict vec {(comp, mono): rational}; a term of
-        degree above cap is a ResourceBudgetError."""
-        den = lcm(*(c.denominator for c in vec.values()))
-        ivec = {}
-        for (comp, m), c in vec.items():
-            d = sum(m) + self.module.shifts[comp]
-            if d > self.cap:
-                raise degree_overflow(d)
-            ivec[self.keys.key(d, comp, m)] = c.numerator * (den // c.denominator)
-        g = gcd(*ivec.values()) or 1
-        if g != 1:
-            for t in ivec:
-                ivec[t] //= g
-        return Fraction(den, g), ivec
 
     def complete(self, max_degree=None):
         """Process pending S-pairs (Buchberger), all of them or only those
@@ -464,11 +453,7 @@ class GroebnerEngine:
             fi, fj = rj.lc // g, ri.lc // g
             vec = {t + di: fi * c for t, c in ri.tail}
             _isub_scaled(vec, rj.tail, fj, dj)
-            rep = None
-            if self.track:
-                rep = {t + di: fi * c for t, c in ri.rep}
-                _isub_scaled(rep, rj.rep, fj, dj)
-            self._insert(vec, rep)
+            self._insert(vec)
 
     def interreduce(self, start=0):
         """Tail-reduce the rows of an untracked engine, keeping each lead,
@@ -477,6 +462,7 @@ class GroebnerEngine:
         of rows[start:] divides a tail term (none can if it is of lower
         degree than all those leads)."""
         guard, comp, ds = self.keys.guard, self.keys.comp, self.keys.deg_shift
+        rank = self.module.rank
         new = _index_by_lead(self.rows[start:])
         low = max((r.lead >> ds for r in self.rows[start:]), default=0)
         for i, r in enumerate(self.rows):
@@ -485,9 +471,9 @@ class GroebnerEngine:
                     for t, _ in r.tail for lead, _ in new.get(comp(t), ())):
                 continue
             out, scale = _reduce(dict(r.tail), self.rows, self._lead_index,
-                                 self.keys)
+                                 self.keys, rank)
             out[r.lead] = r.lc * scale
-            self.rows[i] = _Row(out, None, self.keys)
+            self.rows[i] = _Row(out, self.keys, rank)
 
     @property
     def done(self) -> bool:
@@ -501,9 +487,10 @@ class GroebnerEngine:
         primitive integer vectors with positive lead, equal for equal ones."""
         den = lcm(*(k.denominator for k in self.gen_scales))
         mult = [k.numerator * (den // k.denominator) for k in self.gen_scales]
-        comp, distinct = self.keys.comp, {}
+        comp, distinct, rank = self.keys.comp, {}, self.module.rank
+        shift = rank << self.keys.comp_shift
         for syz in self.syzygies:
-            vec = {t: c * mult[comp(t)] for t, c in syz.items()}
+            vec = {t - shift: c * mult[comp(t) - rank] for t, c in syz.items()}
             g = gcd(*vec.values()) * (-1 if vec[min(vec)] < 0 else 1)
             vec = {t: c // g for t, c in vec.items()}
             distinct.setdefault(frozenset(vec.items()), vec)
@@ -523,7 +510,7 @@ class GroebnerEngine:
         for r in kept:
             others = [s for s in kept if s is not r]
             red, _ = _reduce(dict(r.vec), others, _index_by_lead(others),
-                             self.keys)
+                             self.keys, self.module.rank)
             if red:
                 out.append(red)
         out.sort(key=min, reverse=True)
@@ -551,12 +538,12 @@ def groebner_basis(gens, module: FreeModule | None = None):
 
 def normal_form(v: ModuleElement, gb) -> ModuleElement:
     """Remainder of v modulo a Groebner basis gb."""
-    eng = GroebnerEngine(v.module)      # for `_encode` only
-    rows = [_Row(eng._encode(g.vec)[1], None, eng.keys) for g in gb]
-    k, ivec = eng._encode(v.vec)
-    out, scale = _reduce(ivec, rows, _index_by_lead(rows), eng.keys)
+    keys, rank = PackedKeys(v.module.nvars), v.module.rank
+    rows = [_Row(g.packed()[0], keys, rank) for g in gb]
+    ivec, k = v.packed()
+    out, scale = _reduce(dict(ivec), rows, _index_by_lead(rows), keys, rank)
     # scale * k * v = out + (a combination of gb)
-    return ModuleElement(v.module, _decode(out, scale * k, eng.keys))
+    return ModuleElement(v.module, _decode(out, scale * k, keys))
 
 
 def syzygy_module(gens, module: FreeModule | None = None):
@@ -570,12 +557,13 @@ def syzygy_module(gens, module: FreeModule | None = None):
         raise StructuralError("empty generator list without explicit module")
     module = module or gens[0].module
     F = FreeModule(module.nvars, [0 if g.is_zero() else g.degree() for g in gens])
-    return kernel_of_map(gens, F, module), F
+    return kernel_of_map(gens, F, module)[0], F
 
 
 def kernel_of_map(columns, source: FreeModule, target: FreeModule,
                   relations=()):
-    """Kernel of the graded map source -> target/(relations).
+    """Kernel of the graded map source -> target/(relations), and the
+    Hilbert numerator of target/(columns + relations).
 
     columns[j] is the image of the j-th basis vector of source, and each
     relation an element of target that the target is divided by, all as
@@ -584,12 +572,13 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
     by augmenting with the relation columns: the syzygies of columns and
     relations, projected onto the source coordinates.
 
-    The relations enter with an empty representation, so the rows carry
+    Only the columns carry a representation term, so the rows carry
     representation terms on the source coordinates only.  That projection
     is linear and the reducers are chosen by row leads alone, so each
     recorded syzygy is a positive multiple of the projection of the one
     full representations would give, and the kept syzygies generate the
-    kernel (Schreyer).
+    kernel (Schreyer).  The numerator is read off the leads of the
+    completed engine (`_quotient_numerator_of`).
     """
     columns = list(columns)
     if len(columns) != source.rank:
@@ -599,9 +588,9 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
         ivec, k = col.packed()
         eng.add_vector(dict(ivec), source.shifts[j], k)
     for rel in relations:
-        eng._insert(dict(rel.packed()[0]), {})
+        eng._insert(dict(rel.packed()[0]))
     eng.complete()
-    return eng.syzygy_elements(source)
+    return eng.syzygy_elements(source), _quotient_numerator_of(eng.rows, target)
 
 
 def _minimal_level(gens, module: FreeModule):
@@ -616,8 +605,7 @@ def _minimal_level(gens, module: FreeModule):
     the one reduction that also inserts a kept candidate.  The last, full
     completion gives the syzygies of the kept generators.  A candidate is
     read as g = ivec / k (`ModuleElement.packed`), never decoded, and one
-    that reduces to zero is dropped before its representation is touched
-    (`GroebnerEngine._insert`).
+    that reduces to zero leaves no row and no syzygy.
 
     Returns (kept, F, syzygies, engine): F is the free module on the kept
     generators (shifts = their degrees), the syzygies are distinct
@@ -803,8 +791,7 @@ class Resolution:
                     raise CertificateError("resolution differentials do not compose to zero")
 
 
-def minimal_free_resolution(gens,
-                            module: FreeModule | None = None) -> Resolution:
+def minimal_free_resolution(gens, module: FreeModule) -> Resolution:
     """Minimal graded free resolution of the submodule generated by gens.
 
     Each free module comes from one `_minimal_level` pass over the
@@ -815,10 +802,6 @@ def minimal_free_resolution(gens,
     series of the Betti table is certified against that of the level-0
     basis's lead terms (`_certify_hilbert`).
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if module is None and not gens:
-        raise StructuralError("empty generator list without explicit module")
-    module = module or gens[0].module
     gens0, F, syz, eng = _minimal_level(gens, module)
     modules = [F]
     diffs = []
@@ -841,21 +824,13 @@ def _certify_hilbert(res: Resolution, rows, module: FreeModule):
     """Check Hilb(M) from the resolution's Betti table against Hilb of the
     lead module of the level-0 basis; a mismatch is a CertificateError.
 
-    A Groebner basis G of M has Hilb(M) = Hilb(LT(G)) (Macaulay), and
-    LT(G) is one monomial ideal J_j per component, so over (1-t)^n the
-    numerator is the sum over components of t^{s_j} (1 - N(J_j)), with
-    Hilb(S/J) = N(J) / (1-t)^n.  Neither side uses the other's data: the
-    Betti table comes from every level's syzygies, the leads from the
-    level-0 basis alone.
+    Hilb(M) = Hilb(F) - Hilb(F/M) for F = module, and the leads give the
+    second (`_quotient_numerator_of`).  Neither side uses the other's
+    data: the Betti table comes from every level's syzygies, the leads
+    from the level-0 basis alone.
     """
-    ideals = {}
-    for row in rows:
-        ideals.setdefault(row.comp, []).append(row.mono)
-    lead_num = Counter()
-    for comp, monos in ideals.items():
-        lead_num[module.shifts[comp]] += 1
-        for d, c in _quotient_numerator(_minimal_monomials(monos)).items():
-            lead_num[d + module.shifts[comp]] -= c
+    lead_num = Counter(module.shifts)
+    lead_num.subtract(_quotient_numerator_of(rows, module))
     lead_num = {d: c for d, c in lead_num.items() if c}
     betti_num = res.betti().hilbert_numerator()
     if lead_num != betti_num:
@@ -865,6 +840,21 @@ def _certify_hilbert(res: Resolution, rows, module: FreeModule):
             f"{RationalSeries(LaurentPolynomial(betti_num), n)}, differs from "
             f"that of the level-0 lead module, "
             f"{RationalSeries(LaurentPolynomial(lead_num), n)}")
+
+
+def _quotient_numerator_of(rows, module: FreeModule):
+    """The numerator of Hilb(F/M) over (1-t)^n as a Counter, for F =
+    module and M the submodule with Groebner basis rows: by Macaulay, the
+    sum over components of t^{s_j} N(J_j), J_j the ideal of the leads in
+    component j and Hilb(S/J) = N(J) / (1-t)^n."""
+    ideals = [[] for _ in module.shifts]
+    for row in rows:
+        ideals[row.comp].append(row.mono)
+    num = Counter()
+    for shift, monos in zip(module.shifts, ideals):
+        for d, c in _quotient_numerator(_minimal_monomials(monos)).items():
+            num[d + shift] += c
+    return num
 
 
 def _minimal_monomials(monos):
@@ -909,7 +899,7 @@ def _quotient_numerator(gens):
 # ---------------------------------------------------------------------------
 # Artinian quotients
 
-def quotient_colength(ideal_gens, nvars: int | None = None):
+def quotient_colength(ideal_gens, nvars: int):
     """Colength and Hilbert function of S/I for a homogeneous ideal I.
 
     Returns (colength, {degree: dimension}) when the quotient is finite
@@ -931,10 +921,6 @@ def quotient_colength(ideal_gens, nvars: int | None = None):
     the rows keep the small coefficients of a reduced basis.
     """
     ideal_gens = [g for g in ideal_gens if not g.is_zero()]
-    if nvars is None:
-        if not ideal_gens:
-            return None
-        nvars = ideal_gens[0].nvars
     eng = GroebnerEngine(FreeModule(nvars, [0]))
     for g in ideal_gens:
         if not g.is_homogeneous():

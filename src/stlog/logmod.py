@@ -34,8 +34,8 @@ from . import session
 from .exceptions import CertificateError, StructuralError
 from .groebner import (BettiTable, FreeModule, ModuleElement, kernel_of_map,
                        minimal_free_resolution)
-from .ratpoly import (MAX_EXPONENT, LinearDivisor, PackedKeys, RationalSeries,
-                      degree_overflow)
+from .ratpoly import (MAX_EXPONENT, LaurentPolynomial, LinearDivisor,
+                      PackedKeys, RationalSeries, degree_overflow)
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,12 @@ def _power_product(factors, keys: PackedKeys):
 def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
     """Minimal generators and Betti table of D^p for p >= 1, certified:
     the resolution's own certificates and audit (their errors name D^p),
-    the membership audit, pd D^p <= l - 2 for 0 < p < l, and
-    reg D^p <= |m| - l + p when A is essential."""
+    generation, the membership audit, pd D^p <= l - 2 for 0 < p < l, and
+    reg D^p <= |m| - l + p when A is essential.  Generation: the span R
+    of the relations alpha_H^{m(H)} e_r is free on them, so dim D^p_d =
+    dim S^C_d - dim (columns + R)_d + dim R_d, which the kernel engine's
+    leads give (`kernel_of_map`); the generators lie in D^p (the audit),
+    so the same Hilbert series proves that they generate it."""
     ell = nvars = arr.ell
     cols = _subset_index(ell, p)
     rows = _constraint_rows(arr, p)
@@ -217,7 +221,7 @@ def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
         {t + (r << cs): c for t, c in powers[hi].items()}, 1, keys))
         for r, (hi, _) in enumerate(rows)]
 
-    raw = kernel_of_map(columns, source, target, relations)
+    raw, quotient = kernel_of_map(columns, source, target, relations)
     try:
         res = minimal_free_resolution(raw, source)
         res.audit()
@@ -226,6 +230,14 @@ def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
     gens = tuple(res.generators)
     betti = res.betti()
     reg, pd = betti.reg, betti.pd
+
+    quotient[0] += len(cols) - len(rows)
+    quotient.update(mult.values[hi] for hi, _ in rows)
+    hilb = RationalSeries(LaurentPolynomial(quotient), nvars)
+    if hilb != betti.hilbert_series(nvars):
+        raise CertificateError(
+            f"D^{p}: the generators span a module with Hilbert series "
+            f"{betti.hilbert_series(nvars)}, not that of D^{p}, {hilb}")
 
     _audit_membership(arr, mult, p, gens)
     if p <= ell - 1 and pd > ell - 2:

@@ -465,9 +465,10 @@ def interreduce_every_row(eng):
     """The full pass: every row tail-reduced against all rows, in order."""
     for i, r in enumerate(eng.rows):
         tail = dict(itertools.islice(r.vec.items(), 1, None))
-        out, scale = groebner._reduce(tail, eng.rows, eng._lead_index, eng.keys)
+        out, scale = groebner._reduce(tail, eng.rows, eng._lead_index, eng.keys,
+                                      eng.module.rank)
         out[r.lead] = r.lc * scale
-        eng.rows[i] = groebner._Row(out, None, eng.keys)
+        eng.rows[i] = groebner._Row(out, eng.keys, eng.module.rank)
 
 
 def interreduce_against_full_passes(gens, nvars):
@@ -658,8 +659,8 @@ def test_kernel_of_map_with_relations():
     target = FreeModule(nvars, [0])
     x = Polynomial.variable(0, 1)
     columns = [target.element([Polynomial.one(1)])]
-    kernel = kernel_of_map(columns, source, target,
-                           relations=[target.element([x * x])])
+    kernel, _ = kernel_of_map(columns, source, target,
+                              relations=[target.element([x * x])])
     minimal = minimalize_generators(kernel, source)
     assert len(minimal) == 1
     assert minimal[0].component(0) == x * x
@@ -671,7 +672,8 @@ def test_kernel_of_map_with_relations_is_complete(data):
     # constant columns S^n -> S^r and relations q*e_r of degree 1..2, as in
     # the constraint matrix of D^p; in each low degree d,
     #   dim ker_d = dim source_d - rank(map_d modulo relations_d),
-    # and the kernel generators span ker_d
+    # the kernel generators span ker_d, and the numerator returned gives
+    #   dim (target / (columns + relations))_d
     nvars = data.draw(st.integers(2, 3))
     source = FreeModule(nvars, [0] * data.draw(st.integers(1, 4)))
     target = FreeModule(nvars, [0] * data.draw(st.integers(1, 3)))
@@ -686,7 +688,7 @@ def test_kernel_of_map_with_relations_is_complete(data):
     rel_gens = [target.element([q if j == r else Polynomial.zero(nvars)
                                 for j in range(target.rank)])
                 for r, q in relations]
-    kernel = kernel_of_map(columns, source, target, rel_gens)
+    kernel, quotient = kernel_of_map(columns, source, target, rel_gens)
     for d in range(4):
         source_index, _ = module_graded_piece([], source, d)
         target_index, rel_rows = module_graded_piece(rel_gens, target, d)
@@ -696,6 +698,9 @@ def test_kernel_of_map_with_relations_is_complete(data):
         map_rank = linalg.rank(rel_rows + images) - rel_rank
         _, kernel_rows = module_graded_piece(kernel, source, d)
         assert linalg.rank(kernel_rows) == len(source_index) - map_rank
+        assert sum(c * poly_dimension(nvars, d - k)
+                   for k, c in quotient.items()) == \
+            len(target_index) - map_rank - rel_rank
         for k in kernel:
             if k.degree() == d:
                 image = target.element(
@@ -850,12 +855,15 @@ def test_term_order_key_sorts_like_component_and_exponents(data):
 
 # -- the reduction loop against the loop it replaced -------------------------
 
-def reduce_by_min(rem, rows, lead_index, keys, rep=None):
-    """Reference reduction: the lead found by min() after every step, and
-    the representation rep updated alongside the remainder."""
+def reduce_by_min(rem, rows, lead_index, keys, rank):
+    """Reference reduction: the lead found by min() among the nonzero
+    module terms (components below rank) after every step, the whole
+    vector updated term by term, and what is left of the representation
+    terms (components rank and above) after the module terms of the
+    remainder, in the order they first appeared."""
     out, scale, guard = {}, 1, keys.guard
-    while rem:
-        t = min(rem)
+    while module := [t for t, c in rem.items() if c and keys.comp(t) < rank]:
+        t = min(module)
         c = rem.pop(t)
         for lead, i in lead_index.get(keys.comp(t), ()):
             if ((t | guard) - lead) & guard == guard:
@@ -868,13 +876,13 @@ def reduce_by_min(rem, rows, lead_index, keys, rep=None):
         f = row.lc // g
         if f != 1:
             scale *= f
-            for d in (rem, out) if rep is None else (rem, out, rep):
+            for d in (rem, out):
                 for k in d:
                     d[k] *= f
         delta = t - lead
-        groebner._isub_scaled(rem, list(row.vec.items())[1:], c // g, delta)
-        if rep is not None:
-            groebner._isub_scaled(rep, row.rep, c // g, delta)
+        for k, v in row.tail:
+            rem[k + delta] = rem.get(k + delta, 0) - c // g * v
+    out.update((t, c) for t, c in rem.items() if c)
     return out, scale
 
 
@@ -897,8 +905,8 @@ def integer_vectors(draw, keys, nvars, shifts, degrees, coeffs):
 @given(submodules(min_rank=1), st.data())
 def test_heap_reduce_matches_a_min_based_reference(sub, data):
     # against the rows of a completed tracked engine: the same (out,
-    # scale) and, replayed, the same representation, dict order included,
-    # on vectors that need not be homogeneous, with small and with wide
+    # scale), module and representation terms, dict order included, on
+    # vectors that need not be homogeneous, with small and with wide
     # coefficients
     module, gens = sub
     if not gens:
@@ -909,32 +917,29 @@ def test_heap_reduce_matches_a_min_based_reference(sub, data):
     eng.complete()
     coeffs = data.draw(st.sampled_from([st.integers(-5, 5),
                                         st.integers(-2 ** 70, 2 ** 70)]))
-    n = module.nvars
+    n, rank = module.nvars, module.rank
     vec = data.draw(integer_vectors(eng.keys, n, module.shifts,
                                     [0, 1, 2, 3], coeffs))
     rep = data.draw(integer_vectors(eng.keys, n, eng.gen_degrees,
                                     [0, 1], coeffs))
-    steps = []
+    shift = rank << eng.keys.comp_shift     # e_i to component rank + i
+    vec.update((t + shift, c) for t, c in rep.items())
     out, scale = groebner._reduce(dict(vec), eng.rows, eng._lead_index,
-                                  eng.keys, steps)
-    replayed = dict(rep)
-    groebner._replay(replayed, steps)
-    expected = dict(rep)
+                                  eng.keys, rank)
     want_out, want_scale = reduce_by_min(dict(vec), eng.rows, eng._lead_index,
-                                         eng.keys, expected)
+                                         eng.keys, rank)
     assert list(out.items()) == list(want_out.items())
     assert scale == want_scale
-    assert list(replayed.items()) == list(expected.items())
 
 
 @settings(max_examples=60, deadline=None)
 @given(submodules(min_rank=1), st.data())
-def test_kept_candidate_row_is_the_same_with_deferred_replay(sub, data):
+def test_kept_candidate_row_matches_the_eager_reduction(sub, data):
     # candidates fed as `_minimal_level` feeds them, some of them multiples
-    # x_i * g of others: a kept one's row (vector, lead and representation,
-    # dict order included) is the one that reducing with its
-    # representation alongside gives, and a dropped one reduces to zero
-    # and leaves no syzygy
+    # x_i * g of others: a kept one's row (lead, module terms and tail,
+    # representation included, dict order too) is the one that the eager
+    # reduction of g + e_i gives, and a dropped one is one that reduces to
+    # representation terms alone, and leaves no row and no syzygy
     module, gens = sub
     if not gens:
         return
@@ -946,23 +951,55 @@ def test_kept_candidate_row_is_the_same_with_deferred_replay(sub, data):
         cands.append(module.element([c * xi for c in g.components()]))
     cands.sort(key=ModuleElement.degree)
     eng = GroebnerEngine(module, track=True)
+    rank, comp = module.rank, eng.keys.comp
     for g in cands:
         d = g.degree()
         eng.complete(max_degree=d)
         ivec, k = g.packed()
         gi = len(eng.gen_degrees)
-        rep = {eng.keys.key(d, gi, mono_zero(module.nvars)): 1}
-        want, _ = reduce_by_min(dict(ivec), eng.rows, eng._lead_index,
-                                eng.keys, rep)
-        syzygies = len(eng.syzygies)
+        vec = dict(ivec)
+        vec[eng.keys.key(d, rank + gi, mono_zero(module.nvars))] = 1
+        want, _ = reduce_by_min(vec, eng.rows, eng._lead_index, eng.keys, rank)
+        rows, syzygies = len(eng.rows), len(eng.syzygies)
         got = eng.add_vector(dict(ivec), d, k, minimal=True)
-        if not want:
-            assert got is None and len(eng.syzygies) == syzygies
+        assert len(eng.syzygies) == syzygies
+        if all(comp(t) >= rank for t in want):
+            assert got is None and len(eng.rows) == rows
             continue
-        assert got == gi
-        row, ref = eng.rows[-1], groebner._Row(want, rep, eng.keys)
-        assert (row.lead, row.lc, list(row.vec.items()), row.rep) == \
-            (ref.lead, ref.lc, list(ref.vec.items()), ref.rep)
+        assert got == gi and len(eng.rows) == rows + 1
+        row, ref = eng.rows[-1], groebner._Row(want, eng.keys, rank)
+        assert (row.lead, row.lc, list(row.vec.items()), row.tail) == \
+            (ref.lead, ref.lc, list(ref.vec.items()), ref.tail)
+
+
+def test_representation_terms_sit_past_the_module_components():
+    # a module of rank 2 with leads in both components, the last included:
+    # every term of a row's module part stays in components 0..1, the
+    # representation of generator i sits in component 2 + i and nowhere
+    # else, and the syzygies come back in the free module on the
+    # generators, y e_0 - x e_1 and y e_2 - x e_3 up to sign
+    x, y = variables(2)
+    zero = Polynomial.zero(2)
+    module = FreeModule(2, [0, 1])
+    gens = [module.element([zero, x]), module.element([zero, y]),
+            module.element([x * x, zero]), module.element([x * y, zero])]
+    eng = GroebnerEngine(module, track=True)
+    for g in gens:
+        eng.add_generator(g.vec, g.degree())
+    eng.complete()
+    comp = eng.keys.comp
+    assert {row.comp for row in eng.rows} == {0, 1}
+    for row in eng.rows:
+        assert all(comp(t) < 2 for t in row.vec)
+        assert all(2 <= comp(t) < 2 + len(gens)
+                   for t, _ in row.tail if t not in row.vec)
+    F = FreeModule(2, eng.gen_degrees)
+    syz = eng.syzygy_elements(F)
+    assert sorted(sorted({j for j, _ in s.vec}) for s in syz) == [[0, 1], [2, 3]]
+    for s in syz:
+        image = [sum((s.component(i) * g.component(j)
+                      for i, g in enumerate(gens)), zero) for j in range(2)]
+        assert all(p.is_zero() for p in image)
 
 
 def test_degree_beyond_a_packed_field_is_a_budget_error():
@@ -997,7 +1034,7 @@ def test_graded_module_with_shifts_resolution():
     target = FreeModule(nvars, [0])
     x, y = variables(2)
     columns = [target.element([x]), target.element([y])]
-    kernel = kernel_of_map(columns, source, target)
+    kernel, _ = kernel_of_map(columns, source, target)
     minimal = minimalize_generators(kernel, source)
     assert len(minimal) == 1
     assert minimal[0].degree() == 2

@@ -16,7 +16,7 @@ from stlog import logmod, session
 from stlog.arrangement import Arrangement, Hyperplane, Multiplicity, parse
 from stlog.exceptions import CertificateError, StructuralError
 from stlog.fixtures import load
-from stlog.groebner import BettiTable
+from stlog.groebner import BettiTable, minimal_free_resolution
 from stlog.ratpoly import (PackedKeys, LaurentPolynomial, Polynomial,
                            RationalSeries)
 from stlog.verify import PAPER_CORPUS, random_corpus
@@ -406,6 +406,33 @@ def test_dropped_basis_row_fails_the_hilbert_certificate_of_dp(dropped_row):
         logmod.derivation_module(arr, mult, 2)
     assert str(exc.value).startswith("D^2: Hilbert series of the resolution")
     assert "level-0 lead module" in str(exc.value)
+
+
+@pytest.mark.parametrize("name, p", [("ex1", 1), ("ex2_B", 2)])
+def test_proper_submodule_fails_the_generation_certificate(monkeypatch, name, p):
+    # the raw kernel generators of D^p without those of the lowest degree
+    # generate a proper submodule: its resolution passes the lead-module
+    # certificate and its generators the membership audit, but its Hilbert
+    # series is not that of D^p
+    arr, mult = load(name)
+    kernel = logmod.kernel_of_map
+    subs = []
+
+    def fewer(*args):
+        raw, quotient = kernel(*args)
+        low = min(g.degree() for g in raw)
+        subs.append([g for g in raw if g.degree() != low])
+        return subs[-1], quotient
+
+    monkeypatch.setattr(logmod, "kernel_of_map", fewer)
+    with session.request(), pytest.raises(CertificateError) as exc:
+        logmod.derivation_module(arr, mult, p)
+    assert str(exc.value).startswith(f"D^{p}: the generators span a module")
+    sub, = subs
+    assert sub
+    with session.request():
+        res = minimal_free_resolution(sub, sub[0].module)
+    logmod._audit_membership(arr, mult, p, res.generators)
 
 
 def test_repeated_module_is_reused_at_no_cost():
