@@ -224,25 +224,31 @@ def _isub_scaled(dst, items, q, delta):
 
 
 class _Row:
-    __slots__ = ("vec", "lead", "lc", "comp", "mono", "tail")
+    __slots__ = ("lead", "lc", "comp", "mono", "tail", "keys", "rank")
 
     def __init__(self, vec, keys, rank):
-        """A basis row from an integer vector, representation terms (in
-        components rank and above) included: divided by its content, with
-        positive lead coefficient.  vec holds the module terms, lead first;
-        tail, every term after the lead, the items a reduction step reads."""
-        comps, bound = _COMP_MASK << keys.comp_shift, rank << keys.comp_shift
-        lead = min(t for t in vec if t & comps < bound)
+        """A basis row from a homogeneous integer vector, representation
+        terms (in components rank and above, after every module term of
+        the degree) included: divided by its content, with positive lead
+        coefficient.  tail holds every term after the lead, the items a
+        reduction step reads, stored once."""
+        lead = min(vec)
         g = gcd(*vec.values())
         if vec[lead] < 0:
             g = -g
         self.lead = lead
         _, self.comp, self.mono = keys.term(lead)
         self.lc = vec[lead] // g
-        row = {lead: self.lc}
-        row.update((t, c // g) for t, c in vec.items())
-        self.tail = tuple(row.items())[1:]
-        self.vec = {t: c for t, c in row.items() if t & comps < bound}
+        self.tail = tuple([(t, c // g) for t, c in vec.items() if t != lead])
+        self.keys, self.rank = keys, rank
+
+    @property
+    def vec(self):
+        """The module terms, lead first."""
+        cs = self.keys.comp_shift
+        comps, bound = _COMP_MASK << cs, self.rank << cs
+        return {t: c for t, c in ((self.lead, self.lc), *self.tail)
+                if t & comps < bound}
 
 
 def _index_by_lead(rows):
@@ -877,22 +883,22 @@ def _quotient_numerator(gens):
     Poincare series, JPAA 1997).  Both ideals have a smaller sum of
     generator degrees, so the recursion ends.
     """
-    divides = Counter(i for m in gens for i, e in enumerate(m) if e)
-    pivot = [i for i, count in divides.most_common(1) if count > 1]
-    if not pivot:
-        num = Counter({0: 1})
+    divides = [sum(map(bool, column)) for column in zip(*gens)]
+    top = max(divides, default=0)
+    if top < 2:
+        num = {0: 1}
         for m in gens:
             d = sum(m)
             for k, c in list(num.items()):
-                num[k + d] -= c
+                num[k + d] = num.get(k + d, 0) - c
         return num
-    i = pivot[0]
+    i = divides.index(top)
     x_i = tuple(int(j == i) for j in range(len(gens[0])))
     num = _quotient_numerator([x_i] + [m for m in gens if not m[i]])
     colon = _minimal_monomials(m[:i] + (max(m[i] - 1, 0),) + m[i + 1:]
                                for m in gens)
     for k, c in _quotient_numerator(colon).items():
-        num[k + 1] += c
+        num[k + 1] = num.get(k + 1, 0) + c
     return num
 
 
