@@ -132,8 +132,8 @@ class ModuleElement:
     def packed(self):
         """(ivec, k): the primitive integer vector ivec = k * vec, k > 0, in
         the packed keys of the module, where a term's degree counts the
-        shift of its component; encoded as a new engine over the module
-        would (`_encode`), once."""
+        shift of its component; encoded once, as an engine over the
+        module encodes it (`_encode`)."""
         if self._packed is None:
             keys = PackedKeys(self.module.nvars)
             k, ivec = _encode(self._vec, self.module, keys,
@@ -228,10 +228,8 @@ class _Row:
 
     def __init__(self, vec, keys, rank):
         """A basis row from a homogeneous integer vector, representation
-        terms (in components rank and above, after every module term of
-        the degree) included: divided by its content, with positive lead
-        coefficient.  tail holds every term after the lead, the items a
-        reduction step reads, stored once."""
+        terms (components rank and above) included: divided by its
+        content, with positive lead.  tail holds every other term, once."""
         lead = min(vec)
         g = gcd(*vec.values())
         if vec[lead] < 0:
@@ -583,8 +581,7 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
     is linear and the reducers are chosen by row leads alone, so each
     recorded syzygy is a positive multiple of the projection of the one
     full representations would give, and the kept syzygies generate the
-    kernel (Schreyer).  The numerator is read off the leads of the
-    completed engine (`_quotient_numerator_of`).
+    kernel (Schreyer).  The engine's leads give the numerator.
     """
     columns = list(columns)
     if len(columns) != source.rank:
@@ -596,7 +593,8 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
     for rel in relations:
         eng._insert(dict(rel.packed()[0]))
     eng.complete()
-    return eng.syzygy_elements(source), _quotient_numerator_of(eng.rows, target)
+    return (eng.syzygy_elements(source),
+            _quotient_numerator_of(eng.rows, target))
 
 
 def _minimal_level(gens, module: FreeModule):

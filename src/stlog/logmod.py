@@ -34,8 +34,8 @@ from . import session
 from .exceptions import CertificateError, StructuralError
 from .groebner import (BettiTable, FreeModule, ModuleElement, kernel_of_map,
                        minimal_free_resolution)
-from .ratpoly import (MAX_EXPONENT, LaurentPolynomial, LinearDivisor,
-                      PackedKeys, RationalSeries, degree_overflow)
+from .ratpoly import (MAX_EXPONENT, LinearDivisor, PackedKeys, RationalSeries,
+                      degree_overflow)
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,10 @@ def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
     """Minimal generators and Betti table of D^p for p >= 1, certified:
     the resolution's own certificates and audit (their errors name D^p),
     generation, the membership audit, pd D^p <= l - 2 for 0 < p < l, and
-    reg D^p <= |m| - l + p when A is essential.  Generation: the span R
-    of the relations alpha_H^{m(H)} e_r is free on them, so dim D^p_d =
-    dim S^C_d - dim (columns + R)_d + dim R_d, which the kernel engine's
-    leads give (`kernel_of_map`); the generators lie in D^p (the audit),
-    so the same Hilbert series proves that they generate it."""
+    reg D^p <= |m| - l + p when A is essential.  Generation: R, the span
+    of the relations alpha_H^{m(H)} e_r, is free on them, so Hilb(D^p) =
+    Hilb(S^C) - Hilb(columns + R) + Hilb(R) (the kernel's leads give the
+    middle term), and it proves generators inside D^p generate it."""
     ell = nvars = arr.ell
     cols = _subset_index(ell, p)
     rows = _constraint_rows(arr, p)
@@ -233,11 +232,11 @@ def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
 
     quotient[0] += len(cols) - len(rows)
     quotient.update(mult.values[hi] for hi, _ in rows)
-    if {d: c for d, c in quotient.items() if c} != betti.hilbert_numerator():
+    kernel = {d: c for d, c in quotient.items() if c}
+    if kernel != betti.hilbert_numerator():
         raise CertificateError(
-            f"D^{p}: the generators span a module with Hilbert series "
-            f"{betti.hilbert_series(nvars)}, not that of D^{p}, "
-            f"{RationalSeries(LaurentPolynomial(quotient), nvars)}")
+            f"D^{p}: the generators span a module with Hilbert numerator "
+            f"{betti.hilbert_numerator()}, not that of D^{p}, {kernel}")
 
     _audit_membership(arr, mult, p, gens)
     if p <= ell - 1 and pd > ell - 2:

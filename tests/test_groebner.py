@@ -465,8 +465,8 @@ def interreduce_every_row(eng):
     """The full pass: every row tail-reduced against all rows, in order."""
     for i, r in enumerate(eng.rows):
         tail = dict(itertools.islice(r.vec.items(), 1, None))
-        out, scale = groebner._reduce(tail, eng.rows, eng._lead_index, eng.keys,
-                                      eng.module.rank)
+        out, scale = groebner._reduce(tail, eng.rows, eng._lead_index,
+                                      eng.keys, eng.module.rank)
         out[r.lead] = r.lc * scale
         eng.rows[i] = groebner._Row(out, eng.keys, eng.module.rank)
 

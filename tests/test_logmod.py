@@ -409,7 +409,8 @@ def test_dropped_basis_row_fails_the_hilbert_certificate_of_dp(dropped_row):
 
 
 @pytest.mark.parametrize("name, p", [("ex1", 1), ("ex2_B", 2)])
-def test_proper_submodule_fails_the_generation_certificate(monkeypatch, name, p):
+def test_proper_submodule_fails_the_generation_certificate(monkeypatch, name,
+                                                           p):
     # the raw kernel generators of D^p without those of the lowest degree
     # generate a proper submodule: its resolution passes the lead-module
     # certificate and its generators the membership audit, but its Hilbert
