@@ -227,9 +227,11 @@ class _Row:
     __slots__ = ("lead", "lc", "comp", "mono", "tail", "keys", "rank")
 
     def __init__(self, vec, keys, rank):
-        """A basis row from a homogeneous integer vector, representation
-        terms (components rank and above) included: divided by its
-        content, with positive lead.  tail holds every other term, once."""
+        """A basis row from an integer vector: divided by its content, with
+        positive lead.  A tracked engine's vectors are homogeneous, so
+        their representation terms (components rank and above) sort after
+        the module terms, and min(vec) is the lead.  tail holds every
+        other term, once."""
         lead = min(vec)
         g = gcd(*vec.values())
         if vec[lead] < 0:
@@ -269,9 +271,9 @@ def _reduce(rem, rows, lead_index, keys, rank):
     2011): a term that cancels stays in rem as 0 until it is popped, and
     a key enters the heap only when it enters rem, so it is never pushed
     twice, and the terms a step adds all follow the lead it removes.
-    No row leads in a component rank or above, so the representation
-    terms there never enter the heap: they are rescaled and subtracted,
-    and follow the module terms in out, in the order they first appeared.
+    No row leads in a component rank or above: the representation terms
+    there never enter the heap, and follow the module terms in out, in
+    the order they first appeared.
     """
     out = {}
     scale = 1
@@ -402,8 +404,8 @@ class GroebnerEngine:
 
     def _insert(self, vec, syzygy=True):
         """Reduce the integer vec; keep the remainder as a new row and
-        return True if a module term is left, or else record what is left,
-        a representation of zero, as a syzygy (if syzygy and nonzero)."""
+        return True if a module term is left, or else record what is left
+        as a syzygy (if syzygy and nonzero)."""
         rank = self.module.rank
         rem, _ = _reduce(vec, self.rows, self._lead_index, self.keys, rank)
         if rem and self.keys.comp(next(iter(rem))) < rank:
@@ -513,7 +515,7 @@ class GroebnerEngine:
         out = []
         for r in kept:
             others = [s for s in kept if s is not r]
-            red, _ = _reduce(dict(r.vec), others, _index_by_lead(others),
+            red, _ = _reduce(r.vec, others, _index_by_lead(others),
                              self.keys, self.module.rank)
             if red:
                 out.append(red)
@@ -847,10 +849,9 @@ def _certify_hilbert(res: Resolution, rows, module: FreeModule):
 
 
 def _quotient_numerator_of(rows, module: FreeModule):
-    """The numerator of Hilb(F/M) over (1-t)^n as a Counter, for F =
-    module and M the submodule with Groebner basis rows: by Macaulay, the
-    sum over components of t^{s_j} N(J_j), J_j the ideal of the leads in
-    component j and Hilb(S/J) = N(J) / (1-t)^n."""
+    """The numerator of Hilb(F/M) over (1-t)^n, for F = module and M the
+    submodule with Groebner basis rows: by Macaulay, sum_j t^{s_j} N(J_j),
+    J_j the ideal of the leads in component j (`_quotient_numerator`)."""
     ideals = [[] for _ in module.shifts]
     for row in rows:
         ideals[row.comp].append(row.mono)
