@@ -218,6 +218,9 @@ def _cmd_st_algebra(args, arr, mult):
         eta = parse_eta(args.eta, arr.ell)
         if eta.is_zero() or not eta.is_homogeneous():
             raise ParseError("eta must be nonzero and homogeneous")
+        if eta.degree() != args.order:
+            raise ParseError(f"eta has degree {eta.degree()}, but --order "
+                             f"{args.order} needs degree {args.order}")
         result = stpoly.st_algebra_hilbert(arr, mult, eta)
     else:
         result = stpoly.sample_generic_eta(
@@ -267,7 +270,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _budget(text: str) -> int:
-    """An S-pair budget: an int, and not negative (0 allows no S-pair)."""
+    """A budget of S-pairs or attempts: an int, and not negative (0 allows
+    none)."""
     try:
         value = int(text)
     except ValueError:
@@ -322,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'random', or a polynomial in x1..xl with "
                             "integers, + - *, ^ and parentheses; write one "
                             "that starts with '-' as --eta=EXPR")
-    p_alg.add_argument("--max-eta-attempts", type=int, default=16,
+    p_alg.add_argument("--max-eta-attempts", type=_budget, default=16,
                        help="random etas to try before giving up "
                             "(default %(default)s)")
     p_alg.add_argument("--seed", type=int, default=0,

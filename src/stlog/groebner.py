@@ -10,9 +10,9 @@ element in terms of the original generators and collecting the
 relations produced by S-pairs that reduce to zero (Schreyer): g_i
 enters as g_i + e_i, e_i a term in a component past the module's, which
 never leads, so it rides along in every reduction step.  One reduction
-loop, `_reduce`, serves the engine, `normal_form` and the reduced basis.
-It pops each lead from a heap of the remainder's module keys and reads
-each row's tail from items stored once.
+loop, `_reduce`, serves the engine and `normal_form`.  It pops each lead
+from a heap of the remainder's module keys and reads each row's tail
+from items stored once.
 
 Every engine follows one pair policy: it skips the S-pairs that the
 Gebauer-Moeller criteria prove redundant (Gebauer-Moeller, On an
@@ -64,8 +64,8 @@ from types import MappingProxyType
 from . import session
 from .exceptions import CertificateError, StructuralError
 from .ratpoly import (COMP_BITS, MAX_EXPONENT, LaurentPolynomial, PackedKeys,
-                      Polynomial, RationalSeries, degree_overflow, mono_deg,
-                      mono_mul, mono_zero)
+                      Polynomial, RationalSeries, degree_overflow, mono_mul,
+                      mono_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +109,25 @@ class FreeModule:
 
 
 class ModuleElement:
-    """Homogeneous (in all uses here) element of a graded free module.
-    One built from packed = (ivec, k, keys), ivec = k * vec an integer
-    vector in the PackedKeys keys of its module (`packed`), decodes `vec`
-    when first read: an engine makes its syzygies so (`syzygy_elements`),
-    primitive with k their positive lead, so they decode monic.  One
-    built from Fractions packs itself when first asked."""
+    """Homogeneous (in all uses here) element of a graded free module,
+    held as packed = (ivec, k, keys): ivec = k * vec, a primitive integer
+    vector in the PackedKeys keys of its module, k > 0.  An engine makes
+    its syzygies so (`syzygy_elements`), with k their positive lead, so
+    they decode monic; one built from a flat dict vec {(comp, mono):
+    rational} is encoded at construction, as an engine over the module
+    encodes it (`_encode`).  `vec` decodes on first read."""
 
     __slots__ = ("module", "_vec", "_packed")
 
     def __init__(self, module: FreeModule, vec, packed=None):
         self.module = module
+        if packed is None:
+            keys = PackedKeys(module.nvars)
+            k, ivec = _encode({t: c for t, c in vec.items() if c}, module,
+                              keys, MAX_EXPONENT + min([0, *module.shifts]))
+            packed = ivec, k, keys
         self._packed = packed
-        self._vec = None if packed else {t: c for t, c in vec.items() if c}
+        self._vec = None
 
     @property
     def vec(self):
@@ -132,17 +138,11 @@ class ModuleElement:
     def packed(self):
         """(ivec, k): the primitive integer vector ivec = k * vec, k > 0, in
         the packed keys of the module, where a term's degree counts the
-        shift of its component; encoded once, as an engine over the
-        module encodes it (`_encode`)."""
-        if self._packed is None:
-            keys = PackedKeys(self.module.nvars)
-            k, ivec = _encode(self._vec, self.module, keys,
-                              MAX_EXPONENT + min([0, *self.module.shifts]))
-            self._packed = ivec, k, keys
+        shift of its component."""
         return self._packed[:2]
 
     def is_zero(self) -> bool:
-        return not (self._packed[0] if self._vec is None else self._vec)
+        return not self._packed[0]
 
     def component(self, j: int) -> Polynomial:
         return Polynomial(self.module.nvars,
@@ -153,22 +153,22 @@ class ModuleElement:
 
     def degree(self):
         """Degree of a homogeneous element; None for zero."""
-        if self._vec is None:
-            ivec, _, keys = self._packed
-            return keys.term(next(iter(ivec)))[0]
-        if not self.vec:
+        ivec, _, keys = self._packed
+        if not ivec:
             return None
-        degs = {mono_deg(m) + self.module.shifts[i] for (i, m) in self.vec}
-        if len(degs) != 1:
+        top, low = min(ivec) >> keys.deg_shift, max(ivec) >> keys.deg_shift
+        if top != low:
             raise StructuralError("element is not homogeneous")
-        return degs.pop()
+        return -top
 
     def __eq__(self, other):
         return (isinstance(other, ModuleElement)
-                and self.module == other.module and self.vec == other.vec)
+                and self.module == other.module
+                and self.packed() == other.packed())
 
     def __hash__(self):
-        return hash((self.module, frozenset(self.vec.items())))
+        ivec, k = self.packed()
+        return hash((self.module, frozenset(ivec.items()), k))
 
     def __repr__(self):
         comps = ", ".join(str(p) for p in self.components())
@@ -323,18 +323,17 @@ def _reduce(rem, rows, lead_index, keys, rank):
 class GroebnerEngine:
     """Incremental Buchberger over a graded free module.
 
-    Generator i enters as a flat dict over Q or as an integer vector, and
-    is stored as the integer vector gen_scales[i] * g_i, with track=True
-    plus e_i, the term of degree deg g_i in component rank + i.  So every
-    basis row carries its representation in terms of the stored
-    generators, and an S-pair whose module terms reduce to zero leaves a
-    syzygy of them.  One pair policy serves every engine: the pairs the
-    Gebauer-Moeller criteria prove redundant are dropped (`_update_pairs`),
-    and the kept ones still give a Groebner basis and, tracked, a
-    generating set of the syzygies.  Every processed S-pair is
-    charged to the session that is current when the engine is built.  A
-    vector or S-pair of degree above `cap` is a ResourceBudgetError
-    (`_encode`).
+    Generator i enters as the integer vector gen_scales[i] * g_i
+    (`ModuleElement.packed`), with track=True plus e_i, the term of degree
+    deg g_i in component rank + i.  So every basis row carries its
+    representation in terms of the stored generators, and an S-pair whose
+    module terms reduce to zero leaves a syzygy of them.  One pair policy
+    serves every engine: the pairs the Gebauer-Moeller criteria prove
+    redundant are dropped (`_update_pairs`), and the kept ones still give
+    a Groebner basis and, tracked, a generating set of the syzygies.
+    Every processed S-pair is charged to the session that is current
+    when the engine is built.  A generator or S-pair of degree above `cap`
+    is a ResourceBudgetError (`degree_overflow`).
     """
 
     def __init__(self, module: FreeModule, track: bool = False):
@@ -414,12 +413,6 @@ class GroebnerEngine:
         if rem and syzygy:
             self.syzygies.append(rem)
         return False
-
-    def add_generator(self, vec, degree):
-        """Feed one original generator (flat dict) of the given degree;
-        returns its index."""
-        k, ivec = _encode(vec, self.module, self.keys, self.cap)
-        return self.add_vector(ivec, degree, k)
 
     def add_vector(self, ivec, degree, scale, minimal=False):
         """Feed the original generator ivec / scale (ivec an integer vector
@@ -503,31 +496,14 @@ class GroebnerEngine:
         return [ModuleElement(module, None, (vec, vec[min(vec)], self.keys))
                 for vec in distinct.values()]
 
-    def reduced_basis_vecs(self):
-        """Deterministic reduced Groebner basis as monic flat dicts."""
-        # keep rows whose lead is not divisible by another kept lead
-        kept = []
-        for r in sorted(self.rows, key=lambda r: r.lead, reverse=True):
-            if not any(k.comp == r.comp and all(map(le, k.mono, r.mono))
-                       for k in kept):
-                kept.append(r)
-        # tail-reduce each against the others
-        out = []
-        for r in kept:
-            others = [s for s in kept if s is not r]
-            red, _ = _reduce(r.vec, others, _index_by_lead(others),
-                             self.keys, self.module.rank)
-            if red:
-                out.append(red)
-        out.sort(key=min, reverse=True)
-        return [_decode(v, v[min(v)], self.keys) for v in out]
-
 
 # ---------------------------------------------------------------------------
 # public operations
 
 def groebner_basis(gens, module: FreeModule | None = None):
-    """Reduced Groebner basis of the submodule generated by gens."""
+    """A Groebner basis of the submodule generated by gens: the rows of
+    one completed engine, each as its primitive vector with positive
+    lead, which decodes monic."""
     gens = list(gens)
     if module is None and not gens:
         raise StructuralError("empty generator list without explicit module")
@@ -537,9 +513,11 @@ def groebner_basis(gens, module: FreeModule | None = None):
         if g.module != module:
             raise StructuralError("generators live in different free modules")
         if not g.is_zero():
-            eng.add_generator(g.vec, g.degree())
+            ivec, k = g.packed()
+            eng.add_vector(dict(ivec), g.degree(), k)
     eng.complete()
-    return [ModuleElement(module, v) for v in eng.reduced_basis_vecs()]
+    return [ModuleElement(module, None, (r.vec, r.lc, eng.keys))
+            for r in eng.rows]
 
 
 def normal_form(v: ModuleElement, gb) -> ModuleElement:
@@ -573,10 +551,10 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
 
     columns[j] is the image of the j-th basis vector of source, and each
     relation an element of target that the target is divided by, all as
-    ModuleElements of target, which enter as their integer vectors
-    (`ModuleElement.packed`): a caller may build them as such.  Computed
-    by augmenting with the relation columns: the syzygies of columns and
-    relations, projected onto the source coordinates.
+    ModuleElements of target, each read as its integer vector
+    (`ModuleElement.packed`).  Computed by augmenting with the relation
+    columns: the syzygies of columns and relations, projected onto the
+    source coordinates.
 
     Only the columns carry a representation term, so the rows carry
     representation terms on the source coordinates only.  That projection
@@ -930,7 +908,9 @@ def quotient_colength(ideal_gens, nvars: int):
     for g in ideal_gens:
         if not g.is_homogeneous():
             raise StructuralError("ideal generator is not homogeneous")
-        eng.add_generator({(0, m): c for m, c in g.terms.items()}, g.degree())
+        k, ivec = _encode({(0, m): c for m, c in g.terms.items()},
+                          eng.module, eng.keys, eng.cap)
+        eng.add_vector(ivec, g.degree(), k)
     units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
     standard = {mono_zero(nvars)}
     hf = {}

@@ -212,8 +212,7 @@ def check_st_algebra_equality(arr: Arrangement, mult: Multiplicity, d: int,
 # ---------------------------------------------------------------------------
 # corpora
 
-PAPER_CORPUS = ("ex1", "ex2_A", "ex2_Aprime", "ex2_B", "generic_3_4",
-                "bool1", "bool2", "bool3")
+PAPER_CORPUS = fixtures.NAMES
 
 
 def random_corpus(seed: int, count: int = 50):

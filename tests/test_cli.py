@@ -113,9 +113,12 @@ def test_seed_only_where_it_is_read(capsys, ex1_path):
     (("chi", "{path}", "--frobnicate"), "--frobnicate"),
     (("st-algebra", "{path}", "--eta", "-x1^2-x2^2-x3^2"), "--eta"),
     (("betti", "{path}", "-p"), "-p"),
-    ((), "command")],
+    ((), "command"),
+    (("st-algebra", "{path}", "--max-eta-attempts", "-1"),
+     "--max-eta-attempts")],
     ids=["bad-max-pairs", "negative-max-pairs", "unknown-flag",
-         "eta-starting-with-minus", "missing-value", "no-command"])
+         "eta-starting-with-minus", "missing-value", "no-command",
+         "negative-max-eta-attempts"])
 def test_argument_errors_are_input_errors(capsys, ex1_path, argv, flag):
     code, out, err = run(capsys, *(a.format(path=ex1_path) for a in argv))
     assert code == 2 and out == ""
@@ -143,6 +146,17 @@ def test_st_algebra_explicit_eta(capsys, ex1_path):
     assert code == 0
     data = json.loads(out)
     assert data["colength"] == 14
+
+
+def test_eta_of_another_degree_than_the_order_is_an_input_error(capsys,
+                                                                ex1_path):
+    # the order-3 algebra needs an eta of degree 3, and a degree-2 one
+    # would give the order-2 algebra
+    code, out, err = run(capsys, "st-algebra", ex1_path, "--order", "3",
+                         "--eta", "x1^2+x2^2+x3^2")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "degree 2" in err \
+        and "--order 3" in err
 
 
 def test_verify_named_suite(capsys):

@@ -36,6 +36,13 @@ def ring_element(module, poly):
     return module.element([poly])
 
 
+def feed(eng, g):
+    """Feed the element g to eng as one generator, as `groebner_basis`
+    does; returns its index."""
+    ivec, k = g.packed()
+    return eng.add_vector(dict(ivec), g.degree(), k)
+
+
 def canonical(g):
     """The order `_minimal_level` takes candidates in: degree, then the
     sorted (component, monomial, coefficient) terms."""
@@ -121,6 +128,40 @@ def test_membership_agrees_with_linear_algebra(data):
         return
     assert (membership_by_groebner(h, gens, module)
             == membership_by_linear_algebra(h, gens))
+
+
+def test_engine_made_and_fraction_built_elements_are_one_state():
+    # the syzygy 3y e_0 - 2x e_1 of (2x, 3y) as the engine hands it out,
+    # and as built from the Fractions it decodes to: equal and hash equal,
+    # and neither is decoded to compare them
+    x, y = variables(2)
+    module = FreeModule(2, [0])
+    (syz,), F = syzygy_module([ring_element(module, 2 * x),
+                               ring_element(module, 3 * y)])
+    same = ModuleElement(F, {(0, (0, 1)): Fraction(1),
+                             (1, (1, 0)): Fraction(-2, 3)})
+    assert sorted(syz.packed()[0].values()) == [-2, 3]
+    assert syz.packed() == same.packed() and same.packed()[1] == 3
+    assert syz == same and hash(syz) == hash(same)
+    assert syz._vec is None and same._vec is None
+    twice = ModuleElement(F, {t: 2 * c for t, c in same.vec.items()})
+    assert twice != syz and twice.packed()[0] == syz.packed()[0]
+
+
+def test_degree_of_a_non_homogeneous_element_raises():
+    # a degree counts the shift: x^2 e_0 and y e_1 are both of degree 2 in
+    # S + S(-1); x e_0 + x e_1 has terms of degrees 1 and 2.  normal_form
+    # still takes a non-homogeneous element.
+    x, y = variables(2)
+    zero = Polynomial.zero(2)
+    module = FreeModule(2, [0, 1])
+    assert module.element([x * x, y]).degree() == 2
+    for components in ([x * x + y, zero], [x, x]):
+        with pytest.raises(StructuralError, match="not homogeneous"):
+            module.element(components).degree()
+    gb = groebner_basis([module.element([x, zero])], module)
+    assert normal_form(module.element([x * x + y, zero]), gb) == \
+        module.element([y, zero])
 
 
 def test_membership_product_of_generators():
@@ -479,7 +520,7 @@ def interreduce_against_full_passes(gens, nvars):
     _, hf = quotient_colength(gens, nvars)
     eng = GroebnerEngine(FreeModule(nvars, [0]))
     for g in gens:
-        eng.add_generator({(0, m): c for m, c in g.terms.items()}, g.degree())
+        feed(eng, ring_element(eng.module, g))
     old = redone = kept = reduced = 0
     for k in range(max(hf) + 2):
         eng.complete(max_degree=k)
@@ -788,7 +829,7 @@ def test_interreduce_keeps_leads_and_leaves_tails_irreducible():
     x, y, z = variables(3)
     eng = GroebnerEngine(FreeModule(3, [0]))
     for g in (x * x + 3 * y * z, x * y - 2 * z * z, y * y + x * z):
-        eng.add_generator({(0, m): c for m, c in g.terms.items()}, 2)
+        feed(eng, ring_element(eng.module, g))
     eng.complete(max_degree=3)
     leads = [r.lead for r in eng.rows]
     eng.interreduce()
@@ -913,7 +954,7 @@ def test_heap_reduce_matches_a_min_based_reference(sub, data):
         return
     eng = GroebnerEngine(module, track=True)
     for g in gens:
-        eng.add_generator(g.vec, g.degree())
+        feed(eng, g)
     eng.complete()
     coeffs = data.draw(st.sampled_from([st.integers(-5, 5),
                                         st.integers(-2 ** 70, 2 ** 70)]))
@@ -985,7 +1026,7 @@ def test_representation_terms_sit_past_the_module_components():
             module.element([x * x, zero]), module.element([x * y, zero])]
     eng = GroebnerEngine(module, track=True)
     for g in gens:
-        eng.add_generator(g.vec, g.degree())
+        feed(eng, g)
     eng.complete()
     comp = eng.keys.comp
     assert {row.comp for row in eng.rows} == {0, 1}
