@@ -186,11 +186,15 @@ def _cmd_tame(args, arr, mult):
     return 0
 
 
-def _cmd_st(args, arr, mult):
-    d = args.order - 1
-    if d < 1:
+def _order_d(args) -> int:
+    """d of an order d+1 given by --order, which must be at least 2."""
+    if args.order < 2:
         raise ParseError("--order must be at least 2")
-    st = stpoly.st_polynomial_order(arr, mult, d)
+    return args.order - 1
+
+
+def _cmd_st(args, arr, mult):
+    st = stpoly.st_polynomial_order(arr, mult, _order_d(args))
     if args.json:
         print(_dump({"order": args.order, "st": st.to_json()}))
     else:
@@ -211,9 +215,7 @@ def _cmd_st_bipoly(args, arr, mult):
 
 
 def _cmd_st_algebra(args, arr, mult):
-    d = args.order - 1
-    if d < 1:
-        raise ParseError("--order must be at least 2")
+    d = _order_d(args)
     if args.eta and args.eta != "random":
         eta = parse_eta(args.eta, arr.ell)
         if eta.is_zero() or not eta.is_homogeneous():
@@ -289,9 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "polynomials and algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True, p_flag=False):
-        if needs_input:
+    def common(p, handler=None, p_flag=False, essential=False):
+        """The options every subcommand shares; one with a handler reads
+        an arrangement file, which `essential` requires to be essential."""
+        if handler:
             p.add_argument("input", help="arrangement file")
+            p.set_defaults(handler=handler, essential=essential)
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
         p.add_argument("--max-pairs", type=_budget,
@@ -304,22 +309,27 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--omega", action="store_true",
                            help="differential forms instead of derivations")
 
-    common(sub.add_parser("info", help="rank, essentiality, irreducibility"))
-    common(sub.add_parser("lattice", help="intersection lattice and Moebius"))
-    common(sub.add_parser("chi", help="characteristic polynomial"))
+    common(sub.add_parser("info", help="rank, essentiality, irreducibility"),
+           _cmd_info)
+    common(sub.add_parser("lattice", help="intersection lattice and Moebius"),
+           _cmd_lattice)
+    common(sub.add_parser("chi", help="characteristic polynomial"),
+           _cmd_chi, essential=True)
     common(sub.add_parser("logmod", help="minimal generators of D^p/Omega^p"),
-           p_flag=True)
+           _cmd_logmod, p_flag=True)
     common(sub.add_parser("betti", help="graded Betti table of D^p/Omega^p"),
-           p_flag=True)
-    common(sub.add_parser("free", help="freeness and Saito certificate"))
-    common(sub.add_parser("tame", help="tameness via pd Omega^p"))
+           _cmd_betti, p_flag=True)
+    common(sub.add_parser("free", help="freeness and Saito certificate"),
+           _cmd_free)
+    common(sub.add_parser("tame", help="tameness via pd Omega^p"), _cmd_tame)
     p_st = sub.add_parser("st", help="Solomon-Terao polynomial")
-    common(p_st)
+    common(p_st, _cmd_st, essential=True)
     p_st.add_argument("--order", type=int, default=2,
                       help="order d+1 of the polynomial (default 2)")
-    common(sub.add_parser("st-bipoly", help="Solomon-Terao bi-polynomial"))
+    common(sub.add_parser("st-bipoly", help="Solomon-Terao bi-polynomial"),
+           _cmd_st_bipoly, essential=True)
     p_alg = sub.add_parser("st-algebra", help="Solomon-Terao algebra")
-    common(p_alg)
+    common(p_alg, _cmd_st_algebra)
     p_alg.add_argument("--order", type=int, default=2,
                        help="order d+1 of the algebra (default 2)")
     p_alg.add_argument("--eta", default="random",
@@ -331,9 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default %(default)s)")
     p_alg.add_argument("--seed", type=int, default=0,
                        help="seed for sampling a random eta (default 0)")
-    common(sub.add_parser("essentialize", help="essential equivalent"))
+    common(sub.add_parser("essentialize", help="essential equivalent"),
+           _cmd_essentialize)
     p_ver = sub.add_parser("verify", help="run the verification suite")
-    common(p_ver, needs_input=False)
+    common(p_ver)
     p_ver.add_argument("input", nargs="*", metavar="FILE",
                        help="arrangement files to check (no --suite then)")
     p_ver.add_argument("--suite", choices=("paper", "random"),
@@ -343,21 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed of the random corpus and of the random "
                             "etas (default 0)")
     return parser
-
-
-_DISPATCH = {
-    "info": _cmd_info,
-    "lattice": _cmd_lattice,
-    "chi": _cmd_chi,
-    "logmod": _cmd_logmod,
-    "betti": _cmd_betti,
-    "free": _cmd_free,
-    "tame": _cmd_tame,
-    "st": _cmd_st,
-    "st-bipoly": _cmd_st_bipoly,
-    "st-algebra": _cmd_st_algebra,
-    "essentialize": _cmd_essentialize,
-}
 
 
 @functools.cache
@@ -370,12 +366,11 @@ def _run(args) -> int:
     if args.command == "verify":
         return _cmd_verify(args)
     arr, mult = arrmod.load(args.input)
-    if args.command in ("chi", "st", "st-bipoly") \
-            and not arrmod.is_essential(arr):
+    if args.essential and not arrmod.is_essential(arr):
         raise ParseError(
             f"{args.command} needs an essential arrangement; `stlog "
             f"essentialize {args.input}` prints an equivalent one")
-    return _DISPATCH[args.command](args, arr, mult)
+    return args.handler(args, arr, mult)
 
 
 def main(argv=None) -> int:

@@ -119,7 +119,7 @@ def derivation_module(arr: Arrangement, mult: Multiplicity,
     if not 0 <= p <= ell:
         raise StructuralError(f"order p={p} out of range 0..{ell}")
     modules = session.current().modules
-    key = cache_key(arr, mult, p)
+    key = (arr, mult, p)
     if key in modules:
         return modules[key]
 
@@ -130,13 +130,6 @@ def derivation_module(arr: Arrangement, mult: Multiplicity,
     mod = LogModule("D", p, gens, betti, betti.hilbert_series(ell))
     modules[key] = mod
     return mod
-
-
-def cache_key(arr: Arrangement, mult: Multiplicity, p: int):
-    """The key of D^p(A,m) among a session's results: the coefficient
-    tuples of the hyperplanes, in their canonical order, and the
-    multiplicities."""
-    return arr.ell, tuple(h.coeffs for h in arr.hyperplanes), mult.values, p
 
 
 def _principal(arr: Arrangement, mult: Multiplicity, p: int):

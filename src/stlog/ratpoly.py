@@ -616,30 +616,6 @@ class BiPolynomial(_Sparse):
     def _new(self, terms) -> "BiPolynomial":
         return BiPolynomial(terms)
 
-    def substitute_t(self, s: LaurentPolynomial) -> LaurentPolynomial:
-        """Ring-homomorphic substitution t -> s(x), x fixed."""
-        result = LaurentPolynomial.zero()
-        if self.is_zero():
-            return result
-        for k in range(self.t_degree() + 1):
-            ck = self.t_coefficient(k)
-            if not ck.is_zero():
-                result = result + ck * s ** k
-        return result
-
-    def evaluate_x(self, point) -> LaurentPolynomial:
-        """Evaluate x at a rational point; returns a polynomial in t."""
-        point = _coerce(point)
-        terms = {}
-        for (xe, te), c in self.terms.items():
-            v = c * (point ** xe if xe >= 0 else 1 / point ** (-xe))
-            s = terms.get(te, 0) + v
-            if s:
-                terms[te] = s
-            else:
-                terms.pop(te, None)
-        return LaurentPolynomial(terms)
-
     def __str__(self):
         named = []
         for (xe, te) in sorted(self.terms,

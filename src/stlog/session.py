@@ -22,7 +22,7 @@ class Session:
     def __init__(self, max_pairs: int = DEFAULT_MAX_PAIRS):
         self.max_pairs = max_pairs
         self.pairs = 0
-        self.modules: dict = {}     # logmod.cache_key(...) -> LogModule
+        self.modules: dict = {}     # (arr, mult, p) -> LogModule of D^p
 
     def charge_pair(self):
         self.pairs += 1

@@ -7,7 +7,10 @@ The bi-polynomial is
 a genuine polynomial in Q[x,t].  Specializations: the Solomon-Terao
 polynomial ST = Psi(x,-1), its order-(d+1) generalization via
 t -> -(1+x+...+x^{d-1}), and the characteristic polynomial
-chi(A,m;t) = (-1)^l Psi(1,t).
+chi(A,m;t) = (-1)^l Psi(1,t).  Psi is assembled in integers from the
+Betti numerators f_p = Hilb(D^p) (1-x)^l; at t = -(1+...+x^{d-1}) the
+factor t(x-1)-1 is -x^d, so ST_{d+1} = sum_p (-1)^p x^{dp} f_p / (1-x)^l
+is read off the f_p directly.
 
 The algebra side: for a polynomial eta of degree d+1 the Solomon-Terao
 ideal is a = (theta(eta) : theta in D(A,m)) and the algebra is S/a,
@@ -135,19 +138,35 @@ def st_polynomial(arr: Arrangement, mult: Multiplicity) -> LaurentPolynomial:
 
 def st_polynomial_order(arr: Arrangement, mult: Multiplicity,
                         d: int) -> LaurentPolynomial:
-    """ST_{d+1}(A,m;x): substitute t -> -(1+x+...+x^{d-1}); order 2 is ST."""
+    """ST_{d+1}(A,m;x) = Psi(x, -(1+x+...+x^{d-1})); order 2 is ST.  At
+    that t, t(x-1)-1 = -x^d, so ST_{d+1} = sum_p (-1)^p x^{dp} f_p /
+    (1-x)^l: one sum over the Betti numerators of `st_bipoly` and one
+    exact division."""
     if d < 1:
         raise StructuralError("st_polynomial_order requires d >= 1")
     st = st_bipoly(arr, mult)
-    sub = LaurentPolynomial({e: -1 for e in range(d)})
-    return st.psi.substitute_t(sub)
+    g = {}
+    for p, f in st.numerators.items():
+        for e, c in f.terms.items():
+            e += d * p
+            g[e] = g.get(e, 0) + (-1) ** p * c
+    q = divide_one_minus_x(g, st.ell)
+    if q is None:
+        raise CertificateError(
+            f"the order-{d + 1} Solomon-Terao numerator is not divisible "
+            f"by (1-x)^{st.ell}")
+    return LaurentPolynomial(q)
 
 
 def char_polynomial_multi(arr: Arrangement,
                           mult: Multiplicity) -> LaurentPolynomial:
-    """chi(A,m;t) = (-1)^l Psi(A,m;1,t), as a polynomial in t."""
+    """chi(A,m;t) = (-1)^l Psi(A,m;1,t): its t^k coefficient is (-1)^l
+    times the sum of Psi's coefficients of t^k."""
     st = st_bipoly(arr, mult)
-    return st.psi.evaluate_x(1).scale((-1) ** arr.ell)
+    chi = {}
+    for (_, k), c in st.psi.terms.items():
+        chi[k] = chi.get(k, 0) + c
+    return LaurentPolynomial(chi).scale((-1) ** arr.ell)
 
 
 # ---------------------------------------------------------------------------

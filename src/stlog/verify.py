@@ -215,12 +215,12 @@ def check_st_algebra_equality(arr: Arrangement, mult: Multiplicity, d: int,
 PAPER_CORPUS = fixtures.NAMES
 
 
-def random_corpus(seed: int, count: int = 50):
-    """Seeded essential simple arrangements of rank 2 or 3, with at most 7
-    hyperplanes and coefficients in -2..2."""
+def random_corpus(seed: int):
+    """50 seeded essential simple arrangements of rank 2 or 3, with at
+    most 7 hyperplanes and coefficients in -2..2."""
     rng = random.Random(seed)
     out = []
-    while len(out) < count:
+    while len(out) < 50:
         ell = rng.randint(2, 3)
         n = rng.randint(ell, 7)
         hps = set()

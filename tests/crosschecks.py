@@ -2,7 +2,8 @@
 API for the tests.  Each raises AssertionError when its identity fails.
 Also the Fraction references the tests compare the program against:
 long division by one polynomial, exact Laurent division, the Saito
-determinant, Q(A,m) and the linear form alpha_H."""
+determinant, Q(A,m), the linear form alpha_H and the substitution of
+t into Psi."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -148,6 +149,14 @@ def saito_scalar(arr, mult):
     assert rem.is_zero() and list(quo.terms) == [(0,) * arr.ell], \
         "the Saito determinant is not a nonzero scalar multiple of Q(A,m)"
     return quo.terms[(0,) * arr.ell]
+
+
+def substitute_t(psi, s):
+    """psi(x, s(x)), the ring-homomorphic substitution t -> s with x fixed:
+    the sum over k of (the t^k coefficient of psi) * s^k."""
+    return sum((psi.t_coefficient(k) * s ** k
+                for k in range((psi.t_degree() or 0) + 1)),
+               LaurentPolynomial.zero())
 
 
 def check_second_t_coefficient(st):

@@ -23,7 +23,7 @@ _random_corpus = None
 def random_corpus():
     global _random_corpus
     if _random_corpus is None:
-        _random_corpus = verify.random_corpus(seed=0, count=50)
+        _random_corpus = verify.random_corpus(seed=0)
     return _random_corpus
 
 

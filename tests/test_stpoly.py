@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 import crosschecks
 from crosschecks import NonDivisibleError, exact_divide
-from stlog import lattice, logmod, session, stpoly
+from stlog import lattice, logmod, session, stpoly, verify
 from stlog.arrangement import Multiplicity, parse
 from stlog.exceptions import (CertificateError, GenericityNotFoundError,
                               NonGenericEtaError, StructuralError)
-from stlog.fixtures import load
+from stlog.fixtures import NAMES, load
 from stlog.groebner import BettiTable
 from stlog.ratpoly import BiPolynomial, LaurentPolynomial, Polynomial
 
@@ -82,6 +82,39 @@ def test_st_order_two_equals_st():
         stpoly.st_polynomial(arr, mult)
     with pytest.raises(StructuralError):
         stpoly.st_polynomial_order(arr, mult, 0)
+
+
+CI_MULTIARRANGEMENT = ("ell 3\nH 1 0 0\nH 0 1 0 m=2\nH 0 0 1\nH 1 1 1 m=3\n"
+                       "H 1 -1 0 m=2\n")
+
+
+def test_st_of_every_order_matches_the_substitution():
+    # ST_{d+1} read off the Betti numerators against t -> -(1+...+x^{d-1})
+    # substituted into Psi in Fractions
+    items = [(name, *load(name)) for name in NAMES]
+    items += verify.random_corpus(0) + verify.random_corpus(1)
+    items.append(("multi", *parse(CI_MULTIARRANGEMENT)))
+    for name, arr, mult in items:
+        psi = stpoly.st_bipoly(arr, mult).psi
+        for d in range(1, 5):
+            s = LaurentPolynomial({e: -1 for e in range(d)})
+            assert stpoly.st_polynomial_order(arr, mult, d) == \
+                crosschecks.substitute_t(psi, s), (name, d)
+
+
+def test_st_of_a_non_divisible_numerator_is_a_certificate_error(monkeypatch):
+    # f_0 one larger in degree 0: sum_p (-1)^p x^{dp} f_p no longer
+    # vanishes at x = 1, so (1-x)^l does not divide it and no ST is given
+    arr, mult = load("ex1")
+    st = stpoly.st_bipoly(arr, mult)
+    numerators = dict(st.numerators)
+    numerators[0] = numerators[0] + LaurentPolynomial.one()
+    monkeypatch.setattr(stpoly, "st_bipoly", lambda *_: dataclasses.replace(
+        st, numerators=numerators))
+    with pytest.raises(CertificateError, match=(
+            r"^the order-3 Solomon-Terao numerator is not divisible by "
+            r"\(1-x\)\^3$")):
+        stpoly.st_polynomial_order(arr, mult, 2)
 
 
 def test_chi_matches_lattice_on_simple_fixtures():
@@ -283,7 +316,7 @@ def test_st_bipoly_rejects_a_betti_table_off_by_one():
         low = min(d for i, d in counts if i == 0)
         counts[(0, low)] += 1
         betti = BettiTable(counts)
-        req.modules[logmod.cache_key(arr, mult, 1)] = dataclasses.replace(
+        req.modules[arr, mult, 1] = dataclasses.replace(
             d1, betti=betti, hilb=betti.hilbert_series(arr.ell))
         with pytest.raises(CertificateError, match=(
                 r"^t\^0 coefficient of the Psi numerator is not divisible "

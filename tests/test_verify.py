@@ -112,11 +112,12 @@ def test_product_rule():
 
 
 def test_random_corpus_is_deterministic():
-    a = verify.random_corpus(7, count=5)
-    b = verify.random_corpus(7, count=5)
+    a = verify.random_corpus(7)
+    b = verify.random_corpus(7)
+    assert len(a) == 50
     assert [(arr, mult.values) for _, arr, mult in a] == \
         [(arr, mult.values) for _, arr, mult in b]
-    c = verify.random_corpus(8, count=5)
+    c = verify.random_corpus(8)
     assert [arr for _, arr, _ in a] != [arr for _, arr, _ in c]
 
 
