@@ -122,6 +122,7 @@ def _cmd_lattice(args, arr, mult):
 
 def _cmd_chi(args, arr, mult):
     chi = stpoly.char_polynomial_multi(arr, mult)
+    stpoly.certify_chi(arr, mult, chi)
     if args.json:
         print(_dump({"chi": chi.to_json()}))
     else:
@@ -195,6 +196,8 @@ def _order_d(args) -> int:
 
 def _cmd_st(args, arr, mult):
     st = stpoly.st_polynomial_order(arr, mult, _order_d(args))
+    # Psi once more from the request's f_p, for its chi
+    stpoly.certify_chi(arr, mult, stpoly.char_polynomial_multi(arr, mult))
     if args.json:
         print(_dump({"order": args.order, "st": st.to_json()}))
     else:
@@ -204,6 +207,7 @@ def _cmd_st(args, arr, mult):
 
 def _cmd_st_bipoly(args, arr, mult):
     st = stpoly.st_bipoly(arr, mult)
+    stpoly.certify_chi(arr, mult, st.chi())
     if args.json:
         print(_dump(st.to_json()))
     else:

@@ -545,9 +545,11 @@ def syzygy_module(gens, module: FreeModule | None = None):
 
 
 def kernel_of_map(columns, source: FreeModule, target: FreeModule,
-                  relations=()):
+                  relations=(), track=True):
     """Kernel of the graded map source -> target/(relations), and the
-    Hilbert numerator of target/(columns + relations).
+    Hilbert numerator of target/(columns + relations).  With track=False
+    the engine carries no representation terms and the kernel comes back
+    empty: the numerator alone, with less coefficient swell.
 
     columns[j] is the image of the j-th basis vector of source, and each
     relation an element of target that the target is divided by, all as
@@ -566,7 +568,7 @@ def kernel_of_map(columns, source: FreeModule, target: FreeModule,
     columns = list(columns)
     if len(columns) != source.rank:
         raise StructuralError("column count does not match source rank")
-    eng = GroebnerEngine(target, track=True)
+    eng = GroebnerEngine(target, track=track)
     for j, col in enumerate(columns):
         ivec, k = col.packed()
         eng.add_vector(dict(ivec), source.shifts[j], k)

@@ -15,6 +15,13 @@ The two ends need no Groebner basis: D^0 = S, and D^l = Q(A,m) * Omega^0
 = S * Q(A,m) d_1 ^ ... ^ d_l, both free of rank one, generated by 1 and
 by Q(A,m) made monic in the engine's order.
 
+The invariants Psi, ST and chi need only f_p = Hilb(D^p) (1-x)^l, and
+`hilbert_numerator` gives it without a resolution when D^p has none in
+the request yet: dim D^p_d = dim S^C_d - dim(columns + R)_d + dim R_d,
+R the free module on the relations alpha_H^{m(H)} e_r, from the leads
+of one untracked kernel engine.  A resolved D^p is certified by the
+same identity (`_resolve_dp`).
+
 Omega^p(A,m) is never computed independently: it is D^{l-p}(A,m) with
 all internal degrees shifted down by |m| (D^p = Q(A,m) * Omega^{l-p}).
 The grading follows deg d/dx_i = deg dx_i = 0, so Omega degrees can be
@@ -115,9 +122,7 @@ def derivation_module(arr: Arrangement, mult: Multiplicity,
     `session.request()` returns the same object and costs no S-pairs.
     D^0 and D^l are read off in closed form (`_principal`).
     """
-    ell = arr.ell
-    if not 0 <= p <= ell:
-        raise StructuralError(f"order p={p} out of range 0..{ell}")
+    ell = _check_order(arr, p)
     modules = session.current().modules
     key = (arr, mult, p)
     if key in modules:
@@ -130,6 +135,34 @@ def derivation_module(arr: Arrangement, mult: Multiplicity,
     mod = LogModule("D", p, gens, betti, betti.hilbert_series(ell))
     modules[key] = mod
     return mod
+
+
+def _check_order(arr: Arrangement, p: int) -> int:
+    """arr.ell, once 0 <= p <= arr.ell is checked."""
+    if not 0 <= p <= arr.ell:
+        raise StructuralError(f"order p={p} out of range 0..{arr.ell}")
+    return arr.ell
+
+
+def hilbert_numerator(arr: Arrangement, mult: Multiplicity, p: int) -> dict:
+    """f_p = Hilb(D^p) (1-x)^l as {degree: int}, once per request.
+
+    Read off the Betti table of a D^p the request has already resolved,
+    and of D^0 and D^l (`derivation_module`'s closed forms, audited).
+    Otherwise one untracked kernel engine gives it (`_kernel`): no
+    generators, no resolution and no membership audit, so none of their
+    certificates.  The dict is the request's own; do not change it.
+    """
+    ell = _check_order(arr, p)
+    current = session.current()
+    key = (arr, mult, p)
+    if key not in current.numerators:
+        if key in current.modules or p in (0, ell):
+            f = derivation_module(arr, mult, p).betti.hilbert_numerator()
+        else:
+            f = _kernel(arr, mult, p, track=False)[2]
+        current.numerators[key] = f
+    return current.numerators[key]
 
 
 def _principal(arr: Arrangement, mult: Multiplicity, p: int):
@@ -179,14 +212,12 @@ def _power_product(factors, keys: PackedKeys):
     return q
 
 
-def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
-    """Minimal generators and Betti table of D^p for p >= 1, certified:
-    the resolution's own certificates and audit (their errors name D^p),
-    generation, the membership audit, pd D^p <= l - 2 for 0 < p < l, and
-    reg D^p <= |m| - l + p when A is essential.  Generation: R, the span
-    of the relations alpha_H^{m(H)} e_r, is free on them, so Hilb(D^p) =
-    Hilb(S^C) - Hilb(columns + R) + Hilb(R) (the kernel's leads give the
-    middle term), and it proves generators inside D^p generate it."""
+def _kernel(arr: Arrangement, mult: Multiplicity, p: int, track: bool):
+    """D^p's source S^C, the kernel generators (`kernel_of_map`; none
+    when not track) and f_p.  R, the span of the relations
+    alpha_H^{m(H)} e_r, is free on them, so Hilb(D^p) = Hilb(S^C) -
+    Hilb(columns + R) + Hilb(R), the engine's leads giving the middle
+    term."""
     ell = nvars = arr.ell
     cols = _subset_index(ell, p)
     rows = _constraint_rows(arr, p)
@@ -213,7 +244,21 @@ def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
         {t + (r << cs): c for t, c in powers[hi].items()}, 1, keys))
         for r, (hi, _) in enumerate(rows)]
 
-    raw, quotient = kernel_of_map(columns, source, target, relations)
+    raw, quotient = kernel_of_map(columns, source, target, relations, track)
+    quotient[0] += len(cols) - len(rows)
+    quotient.update(mult.values[hi] for hi, _ in rows)
+    return source, raw, {d: c for d, c in quotient.items() if c}
+
+
+def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
+    """Minimal generators and Betti table of D^p for p >= 1, certified:
+    the resolution's own certificates and audit (their errors name D^p),
+    generation, the membership audit, pd D^p <= l - 2 for 0 < p < l, and
+    reg D^p <= |m| - l + p when A is essential.  Generation: the Betti
+    numerator must be f_p of the tracked kernel (`_kernel`), which proves
+    that generators inside D^p generate it."""
+    ell = arr.ell
+    source, raw, kernel = _kernel(arr, mult, p, track=True)
     try:
         res = minimal_free_resolution(raw, source)
         res.audit()
@@ -222,10 +267,6 @@ def _resolve_dp(arr: Arrangement, mult: Multiplicity, p: int):
     gens = tuple(res.generators)
     betti = res.betti()
     reg, pd = betti.reg, betti.pd
-
-    quotient[0] += len(cols) - len(rows)
-    quotient.update(mult.values[hi] for hi, _ in rows)
-    kernel = {d: c for d, c in quotient.items() if c}
     if kernel != betti.hilbert_numerator():
         raise CertificateError(
             f"D^{p}: the generators span a module with Hilbert numerator "
@@ -306,9 +347,7 @@ def _components(g: ModuleElement, keys: PackedKeys, rank: int):
 
 def omega_module(arr: Arrangement, mult: Multiplicity, p: int) -> LogModule:
     """Omega^p(A,m) as the |m|-shift of D^{l-p}(A,m)."""
-    ell = arr.ell
-    if not 0 <= p <= ell:
-        raise StructuralError(f"order p={p} out of range 0..{ell}")
+    ell = _check_order(arr, p)
     dual = derivation_module(arr, mult, ell - p)
     n = mult.total
     mod = LogModule("Omega", p, dual.generators, dual.betti.shifted(-n),

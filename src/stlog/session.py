@@ -1,11 +1,12 @@
-"""One request's shared state: its S-pair budget and its D^p results.
+"""One request's shared state: its S-pair budget, its D^p results and
+their Hilbert numerators.
 
 `request()` installs a fresh `Session` for the duration of a `with`
 block.  Every Groebner engine built inside it charges the one budget,
-and `derivation_module` computes each D^p once and then hands out the
-same result, at no cost in S-pairs.  Outside a request, `current()`
-returns a throwaway session: each engine gets the default budget of its
-own, and nothing is reused.
+and `derivation_module` and `hilbert_numerator` compute each D^p and
+each f_p once and then hand out the same result, at no cost in S-pairs.
+Outside a request, `current()` returns a throwaway session: each engine
+gets the default budget of its own, and nothing is reused.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ class Session:
         self.max_pairs = max_pairs
         self.pairs = 0
         self.modules: dict = {}     # (arr, mult, p) -> LogModule of D^p
+        self.numerators: dict = {}  # (arr, mult, p) -> f_p of D^p
 
     def charge_pair(self):
         self.pairs += 1

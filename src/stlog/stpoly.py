@@ -10,7 +10,10 @@ t -> -(1+x+...+x^{d-1}), and the characteristic polynomial
 chi(A,m;t) = (-1)^l Psi(1,t).  Psi is assembled in integers from the
 Betti numerators f_p = Hilb(D^p) (1-x)^l; at t = -(1+...+x^{d-1}) the
 factor t(x-1)-1 is -x^d, so ST_{d+1} = sum_p (-1)^p x^{dp} f_p / (1-x)^l
-is read off the f_p directly.
+is read off the f_p directly.  The f_p come from `hilbert_numerator`,
+which resolves no D^p that the request has not resolved already, so the
+commands that print only Psi, ST or chi check chi against an oracle that
+shares no module with it (`certify_chi`).
 
 The algebra side: for a polynomial eta of degree d+1 the Solomon-Terao
 ideal is a = (theta(eta) : theta in D(A,m)) and the algebra is S/a,
@@ -23,15 +26,17 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
-from .arrangement import Arrangement, Multiplicity, is_essential
+from . import lattice
+from .arrangement import Arrangement, Multiplicity, essentialize, is_essential
 from .exceptions import (CertificateError, GenericityNotFoundError,
-                         NonGenericEtaError, StructuralError)
+                         NonGenericEtaError, ResourceBudgetError,
+                         StructuralError)
 from .groebner import quotient_colength
-from .logmod import derivation_module
-from .ratpoly import (BiPolynomial, LaurentPolynomial, Polynomial,
-                      divide_one_minus_x)
+from .logmod import derivation_module, hilbert_numerator, is_free
+from .ratpoly import (MAX_EXPONENT, BiPolynomial, LaurentPolynomial,
+                      Polynomial, divide_one_minus_x)
 
 
 @dataclass
@@ -58,6 +63,14 @@ class STBiPoly:
             "a": {str(p): str(v) for p, v in sorted(self.a.items())},
             "b": {str(p): str(v) for p, v in sorted(self.b.items())},
         }
+
+    def chi(self) -> LaurentPolynomial:
+        """chi(A,m;t) = (-1)^l Psi(A,m;1,t): its t^k coefficient is (-1)^l
+        times the sum of Psi's coefficients of t^k."""
+        chi = {}
+        for (_, k), c in self.psi.terms.items():
+            chi[k] = chi.get(k, 0) + c
+        return LaurentPolynomial(chi).scale((-1) ** self.ell)
 
 
 @dataclass
@@ -111,8 +124,7 @@ def st_bipoly(arr: Arrangement, mult: Multiplicity) -> STBiPoly:
         raise StructuralError("st_bipoly expects an essential arrangement")
     ell = arr.ell
     n = mult.total
-    ints = [derivation_module(arr, mult, p).betti.hilbert_numerator()
-            for p in range(ell + 1)]
+    ints = [hilbert_numerator(arr, mult, p) for p in range(ell + 1)]
     numerators = {p: LaurentPolynomial(f) for p, f in enumerate(ints)}
     psi = psi_from_numerators(ell, ints)
     if psi.t_degree() != ell:
@@ -141,9 +153,16 @@ def st_polynomial_order(arr: Arrangement, mult: Multiplicity,
     """ST_{d+1}(A,m;x) = Psi(x, -(1+x+...+x^{d-1})); order 2 is ST.  At
     that t, t(x-1)-1 = -x^d, so ST_{d+1} = sum_p (-1)^p x^{dp} f_p /
     (1-x)^l: one sum over the Betti numerators of `st_bipoly` and one
-    exact division."""
+    exact division.  Its degree, |m| + l(d-1), must not exceed
+    MAX_EXPONENT: a higher one is a ResourceBudgetError before anything is
+    built, since the division runs over every coefficient up to it."""
     if d < 1:
         raise StructuralError("st_polynomial_order requires d >= 1")
+    degree = mult.total + arr.ell * (d - 1)
+    if degree > MAX_EXPONENT:
+        raise ResourceBudgetError(
+            f"the order-{d + 1} Solomon-Terao polynomial has degree {degree}, "
+            f"above {MAX_EXPONENT}")
     st = st_bipoly(arr, mult)
     g = {}
     for p, f in st.numerators.items():
@@ -160,13 +179,44 @@ def st_polynomial_order(arr: Arrangement, mult: Multiplicity,
 
 def char_polynomial_multi(arr: Arrangement,
                           mult: Multiplicity) -> LaurentPolynomial:
-    """chi(A,m;t) = (-1)^l Psi(A,m;1,t): its t^k coefficient is (-1)^l
-    times the sum of Psi's coefficients of t^k."""
-    st = st_bipoly(arr, mult)
-    chi = {}
-    for (_, k), c in st.psi.terms.items():
-        chi[k] = chi.get(k, 0) + c
-    return LaurentPolynomial(chi).scale((-1) ** arr.ell)
+    """chi(A,m;t) = (-1)^l Psi(A,m;1,t) (`STBiPoly.chi`)."""
+    return st_bipoly(arr, mult).chi()
+
+
+def certify_chi(arr: Arrangement, mult: Multiplicity, chi: LaurentPolynomial):
+    """Check chi, computed from the f_p, against an oracle that shares no
+    module with it; a mismatch is a CertificateError.  For m == 1 the
+    oracle is the lattice's Moebius chi.  Otherwise the t^{l-1} and
+    t^{l-2} coefficients must be -|m| and b_2 = sum_X d_1^X d_2^X over
+    the codimension-2 flats X (Abe-Terao-Wakefield, The characteristic
+    polynomial of a multiarrangement, Adv. Math. 215, 2007), where
+    (d_1^X, d_2^X) are the exponents of the localization (A_X, m|A_X).
+    It has rank 2, so it is free (Ziegler 1989), and `is_free` gives its
+    exponents with a Saito certificate; None is itself an error."""
+    if mult.is_simple():
+        expected = lattice.characteristic_polynomial(arr)
+        if chi != expected:
+            raise CertificateError(
+                f"chi = {chi.render('t')} differs from the lattice's "
+                f"{expected.render('t')}")
+        return
+    ell, b2 = arr.ell, 0
+    for flat in lattice.intersection_lattice(arr):
+        if flat.codim == 2:
+            members = sorted(flat.members)
+            cert = is_free(*essentialize(
+                Arrangement(ell, [arr.hyperplanes[i] for i in members]),
+                Multiplicity([mult.values[i] for i in members])))
+            if cert is None:
+                raise CertificateError(
+                    f"the rank-2 localization at hyperplanes {members} "
+                    f"is not free")
+            b2 += prod(cert.exponents)
+    got = (chi.coefficient(ell - 1), chi.coefficient(ell - 2))
+    if got != (-mult.total, b2):
+        raise CertificateError(
+            f"chi has t^{ell - 1}, t^{ell - 2} coefficients {got[0]}, "
+            f"{got[1]}; the local-global formula gives {-mult.total}, {b2}")
 
 
 # ---------------------------------------------------------------------------

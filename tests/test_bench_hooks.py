@@ -21,16 +21,16 @@ def load_tracing():
     return module
 
 
-def traced_chi_ex1(tmp_path, capsys):
-    """The tracer and per-layer metrics of one traced `chi ex1`."""
+def traced_ex1(tmp_path, capsys, *command):
+    """The tracer and per-layer metrics of one traced `stlog command ex1`."""
     tracing = load_tracing()
     path = tmp_path / "ex1.arr"
     path.write_text(fixtures.fixture_text("ex1"))
     tracer = tracing.Tracer()
     restore = tracing.install(stlog, tracer)
     try:
-        tracer.begin("ex1 chi")
-        assert cli.main(["chi", str(path)]) == 0
+        tracer.begin(f"ex1 {' '.join(command)}")
+        assert cli.main([*command, str(path)]) == 0
         tracer.end()
     finally:
         tracing.uninstall(restore)
@@ -39,7 +39,7 @@ def traced_chi_ex1(tmp_path, capsys):
 
 
 def test_every_traced_name_resolves(tmp_path, capsys):
-    tracer, metrics = traced_chi_ex1(tmp_path, capsys)
+    tracer, metrics = traced_ex1(tmp_path, capsys, "chi")
     assert not tracer.missing
     assert [name for name, value in metrics.items() if value is None] == []
 
@@ -47,7 +47,8 @@ def test_every_traced_name_resolves(tmp_path, capsys):
 def test_logmod_reaches_the_work_through_the_traced_names(tmp_path, capsys):
     # a name that still exists but is no longer called reads 0, not None:
     # the kernel and the resolution of each D^p must run inside the spans
-    # of `kernel_of_map` and `minimal_free_resolution`
-    _, metrics = traced_chi_ex1(tmp_path, capsys)
+    # of `kernel_of_map` and `minimal_free_resolution` (`betti` resolves
+    # D^2; `chi` reads only Hilbert numerators and resolves no D^p)
+    _, metrics = traced_ex1(tmp_path, capsys, "betti", "-p", "2")
     assert metrics["groebner.kernel_of_map.self_s"] > 0
     assert metrics["groebner.minimal_free_resolution.levels"] > 0

@@ -16,7 +16,7 @@ from stlog import verify
 from stlog.cli import main, parse_eta
 from stlog.exceptions import ParseError
 from stlog.fixtures import fixture_text
-from stlog.ratpoly import Polynomial
+from stlog.ratpoly import LaurentPolynomial, Polynomial
 
 
 @pytest.fixture
@@ -278,13 +278,15 @@ def test_exit_code_genericity_budget(capsys, ex1_path):
 # and 151 without them), all but the coprime-lead one, which would lose
 # syzygies.  `st-algebra` on ex2_A takes 98, most of them in the
 # untracked colength engine, which skips with every criterion (384
-# without them).
+# without them).  `chi` on ex2_B takes 95, all in the untracked kernel
+# engines of D^1..D^3 (134 when it resolved every D^p).
 
 @pytest.mark.parametrize("command, budget, code", [
     (("betti", "-p", "2"), 59, 3), (("betti", "-p", "2"), 60, 0),
     (("tame",), 133, 3), (("tame",), 134, 0),
     (("st-algebra",), 97, 3), (("st-algebra",), 98, 0),
-    (("betti", "-p", "2"), 0, 3)])      # 0 is a budget, not a refused value
+    (("betti", "-p", "2"), 0, 3),       # 0 is a budget, not a refused value
+    (("chi",), 94, 3), (("chi",), 95, 0)])
 def test_max_pairs_bounds_the_whole_request(capsys, tmp_path, command,
                                             budget, code):
     name = "ex2_A" if command[0] == "st-algebra" else "ex2_B"
@@ -450,3 +452,78 @@ def _evaluate(tree) -> Polynomial:
 def test_parse_eta_matches_expression_tree(tree):
     text, _ = _render(tree)
     assert parse_eta(text, NVARS) == _evaluate(tree)
+
+
+# -- chi, st and st-bipoly from the Hilbert numerators ------------------------
+
+def test_st_order_beyond_the_degree_bound_exits_3_at_once(capsys, tmp_path):
+    # ex2_A: |m| = 10, l = 4, so order N has degree 10 + 4 (N - 2); 8191
+    # gives 32766, and 8192 gives 32770, above the 32767 of MAX_EXPONENT
+    path = tmp_path / "ex2_A.arr"
+    path.write_text(fixture_text("ex2_A"))
+    for order, degree in (("8192", 32770), ("100000000", 400000002)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "st", str(path), "--order", order)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == (f"resource budget exceeded: the order-{order} "
+                       f"Solomon-Terao polynomial has degree {degree}, "
+                       f"above 32767\n")
+
+
+@pytest.mark.parametrize("command", [("chi",), ("st",), ("st-bipoly",)])
+def test_numerator_commands_print_what_the_resolutions_gave(
+        capsys, tmp_path, monkeypatch, command):
+    # the f_p of an untracked kernel against those read off the Betti
+    # tables of resolved D^p, byte for byte, on the fixtures, on
+    # random_corpus seeds 0-2 and on a multiarrangement
+    from stlog import arrangement, logmod, stpoly
+    paths = [tmp_path / "multi.arr"]
+    paths[0].write_text("ell 3\nH 1 0 0\nH 0 1 0 m=2\nH 0 0 1\nH 1 1 1 m=3\n"
+                        "H 1 -1 0 m=2\n")
+    for name in stlog.fixtures.NAMES:
+        paths.append(tmp_path / f"{name}.arr")
+        paths[-1].write_text(fixture_text(name))
+    for seed in range(3):
+        for name, arr, mult in verify.random_corpus(seed):
+            paths.append(tmp_path / f"{seed}-{name}.arr")
+            paths[-1].write_text(arrangement.render(arr, mult))
+    outputs = [run(capsys, *command, str(p), "--json") for p in paths]
+    monkeypatch.setattr(stpoly, "hilbert_numerator", lambda arr, mult, p: (
+        logmod.derivation_module(arr, mult, p).betti.hilbert_numerator()))
+    for path, new in zip(paths, outputs):
+        assert new[0] == 0, (path.name, new)
+        assert run(capsys, *command, str(path), "--json") == new, path.name
+
+
+def test_chi_with_a_moved_numerator_coefficient_is_a_check_failure(
+        capsys, ex1_path, monkeypatch):
+    # f_1 of ex1 is x + 3x^2 - x^3; its x term moved to x^2 leaves
+    # g_0 = f_0 - f_1 + f_2 - f_3 with a simple root at 1 only
+    from stlog import logmod, stpoly
+    real = logmod.hilbert_numerator
+
+    def moved(arr, mult, p):
+        f = dict(real(arr, mult, p))
+        if p == 1:
+            f[2] += f.pop(1)
+        return f
+
+    monkeypatch.setattr(stpoly, "hilbert_numerator", moved)
+    code, out, err = run(capsys, "chi", ex1_path)
+    assert (code, out) == (1, "")
+    assert err == ("check failure: t^0 coefficient of the Psi numerator is "
+                   "not divisible by (1-x)^3\n")
+
+
+@pytest.mark.parametrize("command", [("chi",), ("st",), ("st-bipoly",)])
+def test_lattice_chi_off_by_one_is_a_check_failure(capsys, ex1_path,
+                                                   monkeypatch, command):
+    from stlog import lattice
+    real = lattice.characteristic_polynomial
+    monkeypatch.setattr(lattice, "characteristic_polynomial",
+                        lambda arr: real(arr) + LaurentPolynomial.one())
+    code, out, err = run(capsys, *command, ex1_path)
+    assert (code, out) == (1, "")
+    assert err == ("check failure: chi = t^3 - 4*t^2 + 6*t - 3 differs from "
+                   "the lattice's t^3 - 4*t^2 + 6*t - 2\n")

@@ -458,3 +458,63 @@ def test_cached_module_is_read_only():
         assert isinstance(d1.generators, tuple)
         with pytest.raises(TypeError):
             d1.betti.counts[(0, 1)] = 2
+
+
+# -- f_p without a resolution -----------------------------------------------
+
+CI_MULTIARRANGEMENT = ("ell 3\nH 1 0 0\nH 0 1 0 m=2\nH 0 0 1\nH 1 1 1 m=3\n"
+                       "H 1 -1 0 m=2\n")
+RANK4_MULTIARRANGEMENT = ("ell 4\nH 1 -1 -1 0\nH 1 0 -1 2 m=2\nH 1 2 1 -1\n"
+                          "H 2 -1 -1 0 m=2\nH 2 1 -2 1 m=3\n")
+
+
+def numerator_inputs():
+    items = [(name, *load(name)) for name in PAPER_CORPUS]
+    for seed in range(3):
+        items += random_corpus(seed)
+    items.append(("multi", *parse(CI_MULTIARRANGEMENT)))
+    items.append(("rank4", *parse(RANK4_MULTIARRANGEMENT)))
+    return items
+
+
+def test_untracked_kernel_numerator_is_the_betti_numerator():
+    # each side in a fresh request, so that f_p comes from the untracked
+    # kernel and never from the module.  D^2 of the rank-4
+    # multiarrangement has no resolution within minutes (ROADMAP item 4);
+    # its f_2 meets Psi's certificates and chi's oracle in test_stpoly
+    for name, arr, mult in numerator_inputs():
+        for p in range(arr.ell + 1):
+            if name == "rank4" and p == 2:
+                continue
+            with session.request() as current:
+                f = logmod.hilbert_numerator(arr, mult, p)
+                assert current.modules.keys() <= {(arr, mult, 0),
+                                                  (arr, mult, arr.ell)}
+            with session.request():
+                betti = logmod.derivation_module(arr, mult, p).betti
+            assert f == betti.hilbert_numerator(), (name, p)
+
+
+def test_numerator_of_a_resolved_module_is_read_off_at_no_cost():
+    arr, mult = load("ex2_B")
+    with session.request() as current:
+        d2 = logmod.derivation_module(arr, mult, 2)
+        pairs = current.pairs
+        f = logmod.hilbert_numerator(arr, mult, 2)
+        assert f == d2.betti.hilbert_numerator()
+        assert logmod.hilbert_numerator(arr, mult, 2) is f
+        assert current.pairs == pairs
+    with session.request() as current:
+        f = logmod.hilbert_numerator(arr, mult, 2)
+        pairs = current.pairs
+        assert 0 < pairs < 60           # the tracked kernel and levels: 60
+        assert logmod.hilbert_numerator(arr, mult, 2) is f
+        assert current.pairs == pairs
+        assert (arr, mult, 2) not in current.modules
+
+
+def test_numerator_order_out_of_range():
+    arr, mult = load("ex1")
+    for p in (-1, 4):
+        with pytest.raises(StructuralError):
+            logmod.hilbert_numerator(arr, mult, p)

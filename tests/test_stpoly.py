@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+import random
 from math import comb
 
 import pytest
@@ -326,3 +327,81 @@ def test_st_bipoly_rejects_a_betti_table_off_by_one():
     assert stpoly.st_bipoly(arr, mult).psi == psi_by_expansion(
         arr.ell, [logmod.derivation_module(arr, mult, p).betti
                   .hilbert_numerator() for p in range(arr.ell + 1)])
+
+
+# -- the chi oracle ---------------------------------------------------------
+
+RANK4_MULTIARRANGEMENT = ("ell 4\nH 1 -1 -1 0\nH 1 0 -1 2 m=2\nH 1 2 1 -1\n"
+                          "H 2 -1 -1 0 m=2\nH 2 1 -2 1 m=3\n")
+RANK3_WITNESS = ("ell 3\nH 0 2 1 m=3\nH 1 -2 -1 m=2\nH 1 -2 2 m=2\n"
+                 "H 1 -1 -1 m=3\nH 1 0 -1\nH 2 -1 -1 m=3\n")
+
+
+def multiplicity_corpus():
+    """random_corpus(0) with m(H) drawn in order by
+    random.Random(100 + s).randint(1, 3), for s = 0, 1, 2: 150 items."""
+    items = []
+    for s in range(3):
+        rng = random.Random(100 + s)
+        for name, arr, _ in verify.random_corpus(0):
+            mult = Multiplicity([rng.randint(1, 3) for _ in arr.hyperplanes])
+            items.append((f"s{s} {name}", arr, mult))
+    return items
+
+
+def test_chi_oracle_accepts_the_multiplicity_corpus():
+    items = multiplicity_corpus()
+    assert sum(not mult.is_simple() for _, _, mult in items) > 140
+    for name, arr, mult in items:
+        with session.request():
+            stpoly.certify_chi(arr, mult,
+                               stpoly.char_polynomial_multi(arr, mult))
+
+
+@pytest.mark.parametrize("text, chi", [
+    (RANK4_MULTIARRANGEMENT, {4: 1, 3: -9, 2: 31, 1: -51, 0: 36}),
+    (RANK3_WITNESS, {3: 1, 2: -14, 1: 78, 0: -163})],
+    ids=["rank4", "witness"])
+def test_chi_of_multiarrangements_out_of_reach_of_resolutions(text, chi):
+    arr, mult = parse(text)
+    with session.request():
+        got = stpoly.char_polynomial_multi(arr, mult)
+        stpoly.certify_chi(arr, mult, got)
+    assert got == LaurentPolynomial(chi)
+
+
+@pytest.mark.parametrize("text, match", [
+    (CI_MULTIARRANGEMENT, r"the local-global formula gives -9, "),
+    (None, r"differs from the lattice's t\^3 - 4\*t\^2 \+ 6\*t - 3$")],
+    ids=["multi", "ex1"])
+def test_oracle_catches_numerators_that_pass_psi_certificates(
+        monkeypatch, text, match):
+    # f_1 and f_2 both grow by (1-x)^2 x: every g_k stays divisible by
+    # (1-x)^(l-k) and f_l is unchanged, so Psi passes its own
+    # certificates, but chi's t^1 coefficient moves
+    arr, mult = parse(text) if text else load("ex1")
+    real = logmod.hilbert_numerator
+
+    def bumped(arr, mult, p):
+        f = dict(real(arr, mult, p))
+        if p in (1, 2):
+            for e, c in {1: 1, 2: -2, 3: 1}.items():
+                f[e] = f.get(e, 0) + c
+        return {e: c for e, c in f.items() if c}
+
+    monkeypatch.setattr(stpoly, "hilbert_numerator", bumped)
+    with session.request():
+        chi = stpoly.char_polynomial_multi(arr, mult)
+        with pytest.raises(CertificateError, match=match):
+            stpoly.certify_chi(arr, mult, chi)
+
+
+def test_a_localization_that_is_not_free_is_a_certificate_error(monkeypatch):
+    arr, mult = parse(CI_MULTIARRANGEMENT)
+    monkeypatch.setattr(stpoly, "is_free", lambda *_: None)
+    with session.request():
+        chi = stpoly.char_polynomial_multi(arr, mult)
+        with pytest.raises(CertificateError, match=(
+                r"^the rank-2 localization at hyperplanes \[\d+, \d+\] is "
+                r"not free$")):
+            stpoly.certify_chi(arr, mult, chi)
